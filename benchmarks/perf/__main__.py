@@ -144,18 +144,12 @@ def summarize(report: dict) -> str:
             )
     sa = report.get("serving_async")
     if sa:  # absent until `python -m benchmarks.perf loadtest` has run
-        a, t = sa["async"], sa["threaded"]
+        a = sa["async"]
         lines.append(
             f"serving_async @{sa['concurrency']} clients  "
             f"{a['qps']:,.0f} QPS  p50 {a['p50_ms']:.1f}ms  "
             f"p99 {a['p99_ms']:.1f}ms  "
             f"mean batch {a['batching']['mean_batch_size']:.1f}"
-        )
-        lines.append(
-            f"  vs threaded          "
-            f"{t['qps']:,.0f} QPS  p50 {t['p50_ms']:.1f}ms  "
-            f"p99 {t['p99_ms']:.1f}ms  "
-            f"({sa['qps_speedup_vs_threaded']:.2f}x async)"
         )
     sf = report.get("serving_fleet")
     if sf:  # absent until `python -m benchmarks.perf loadtest --fleet N`
@@ -199,7 +193,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(prog="python -m benchmarks.perf")
     parser.add_argument("command", nargs="?", choices=["loadtest"],
                         help="loadtest: multi-client serving load test "
-                             "(asyncio vs threaded) → serving_async "
+                             "of the asyncio server → serving_async "
                              "section; with --fleet N, replica fleet vs "
                              "single async → serving_fleet section")
     parser.add_argument("--quick", action="store_true",

@@ -1,9 +1,9 @@
 """``python -m repro.fleet.replica``: one serving-fleet replica process.
 
-Boots the PR-8 asyncio server (:class:`repro.serve.aio.AsyncPredictionServer`)
-on its own port, loading the checkpoint with ``mmap_mode="r"`` by default
-so all co-located replicas share one copy of the bulk checkpoint data
-through the OS page cache.
+Boots the asyncio server (:class:`repro.serve.aio.AsyncPredictionServer`)
+with the :data:`REPLICA_BATCH` watermarks on its own port, loading the
+checkpoint with ``mmap_mode="r"`` by default so all co-located replicas
+share one copy of the bulk checkpoint data through the OS page cache.
 
 The replica binds port 0 (the kernel picks a free port) and reports its
 address by atomically writing a JSON state file::
@@ -24,6 +24,10 @@ import json
 import os
 import signal
 
+#: Batching watermarks every replica runs with (``BatchSettings`` fields).
+REPLICA_BATCH = dict(max_batch_size=256, max_wait_ms=2.0,
+                     max_queue_depth=4096)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro-fleet-replica")
@@ -37,9 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-mmap", action="store_true",
                         help="materialize the checkpoint privately instead "
                              "of memory-mapping it")
-    parser.add_argument("--max-batch-size", type=int, default=256)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
-    parser.add_argument("--queue-depth", type=int, default=4096)
     return parser
 
 
@@ -53,10 +54,8 @@ async def _amain(args: argparse.Namespace) -> int:
         micro_batch=args.micro_batch,
         mmap_mode=None if args.no_mmap else "r",
     )
-    settings = BatchSettings(max_batch_size=args.max_batch_size,
-                             max_wait_ms=args.max_wait_ms,
-                             max_queue_depth=args.queue_depth)
-    app = AsyncPredictionServer(engine, settings=settings)
+    app = AsyncPredictionServer(engine,
+                                settings=BatchSettings(**REPLICA_BATCH))
     host, port = await app.start(args.host, args.port)
 
     stop = asyncio.Event()

@@ -7,11 +7,17 @@ forwards the request to that replica over a pooled keep-alive
 connection, and relays the response — stamped with ``X-Fleet-Replica``
 so tests and drills can observe placement.
 
-Failover: connection-refused / reset / timeout errors walk the ring's
-successor list with exponential backoff.  Predictions are idempotent
-reads, so replaying a request against the next replica preserves
-exactly-once *responses* (each client request yields exactly one
-response) even while a replica is being killed and restarted under it.
+Requests and responses are read and written only through the shared
+codec in :mod:`repro.wire`, so the router enforces a replica's 413/431
+caps and one read deadline per request, and answers bad framing with the
+same status line and body a replica would.
+
+Failover: connection-refused / reset / timeout errors, and replica
+answers the codec cannot parse, walk the ring's successor list with
+exponential backoff.  Predictions are idempotent reads, so replaying a
+request against the next replica preserves exactly-once *responses*
+(each client request yields exactly one response) even while a replica
+is being killed and restarted under it.
 A client only ever sees 503 when every member of the ring failed.
 
 Locally answered endpoints:
@@ -33,6 +39,8 @@ import json
 import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..wire import (ServiceError, ServiceLimits, encode_request,
+                    encode_response, read_request, read_response)
 from .heartbeat import http_json
 from .ring import HashRing
 
@@ -47,10 +55,8 @@ FAILOVER_BACKOFF = 0.02
 #: Extra full ring passes after the first (a just-restarted replica may
 #: need one more probe round before it accepts connections).
 RING_PASSES = 3
-
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            409: "Conflict", 500: "Internal Server Error",
-            502: "Bad Gateway", 503: "Service Unavailable"}
+#: ``Server`` header of the router's responses.
+SERVER_NAME = "repro-fleet-router/1.0"
 
 
 class FleetRouter:
@@ -68,6 +74,9 @@ class FleetRouter:
         self._status_provider = status_provider
         self._reload_handler = reload_handler
         self.verbose = verbose
+        #: Client-side caps: the replica's defaults, so the router
+        #: rejects exactly what a replica would.
+        self.limits = ServiceLimits()
         self._server: Optional[asyncio.base_events.Server] = None
         self._counters = {"requests": 0, "forwarded": 0, "failovers": 0,
                           "unroutable": 0}  # guarded-by: _lock
@@ -163,61 +172,40 @@ class FleetRouter:
     async def _handle_one(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> bool:
         try:
-            line = await asyncio.wait_for(reader.readline(), RESPONSE_TIMEOUT)
-        except asyncio.TimeoutError:
+            request = await read_request(reader, self.limits)
+        except ServiceError as exc:
+            await self._respond(writer, exc.status, {"error": exc.message},
+                                close=True)
             return False
-        if not line or not line.strip():
+        if request is None:
             return False
-        try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
-        except ValueError:
-            await self._respond(writer, 400,
-                                {"error": "malformed request line"})
-            return False
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await asyncio.wait_for(reader.readline(), RESPONSE_TIMEOUT)
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
-        body = b""
-        if length > 0:
-            try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), RESPONSE_TIMEOUT)
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-                await self._respond(writer, 400,
-                                    {"error": "request body truncated"})
-                return False
-        client_close = headers.get("connection", "").lower() == "close"
+        close = not request.keep_alive
         with self._lock:
             self._counters["requests"] += 1
         if self.verbose:
-            print(f"fleet {method} {target}")
+            print(f"fleet {request.method} {request.target}")
 
-        path = target.split("?", 1)[0]
-        local = await self._handle_local(method, path, body)
+        local = await self._handle_local(request.method, request.path,
+                                         request.body)
         if local is not None:
             payload, status = local
-            await self._respond(writer, status, payload, close=client_close)
-            return not client_close
+            await self._respond(writer, status, payload, close=close)
+            return not close
 
         replica, status, resp_headers, resp_body = await self._forward(
-            method, target, headers, body)
+            request.method, request.target, request.body)
         if replica is None:
             await self._respond(
                 writer, 503,
                 {"error": "no fleet replica reachable", "retry_after": 1},
-                extra={"Retry-After": "1"}, close=client_close)
-            return not client_close
+                extra={"Retry-After": "1"}, close=close)
+            return not close
         out_headers = {"X-Fleet-Replica": replica}
         if "retry-after" in resp_headers:
             out_headers["Retry-After"] = resp_headers["retry-after"]
         await self._respond_raw(writer, status, resp_body, out_headers,
-                                close=client_close)
-        return not client_close
+                                close=close)
+        return not close
 
     # ------------------------------------------------------------------
     # Local endpoints
@@ -286,14 +274,14 @@ class FleetRouter:
                 return []
             return self.ring.successors(key)
 
-    async def _forward(self, method: str, target: str,
-                       headers: Dict[str, str], body: bytes):
+    async def _forward(self, method: str, target: str, body: bytes):
         """Try the affinity owner, then ring successors, with backoff.
 
         Returns ``(replica, status, resp_headers, resp_body)`` or
         ``(None, ...)`` when every attempt failed at the connection
-        level.  Membership is re-read between passes so a replica the
-        supervisor restarts mid-request becomes routable again.
+        level or with an unparsable answer.  Membership is re-read
+        between passes so a replica the supervisor restarts mid-request
+        becomes routable again.
         """
         attempt = 0
         for _pass in range(1 + RING_PASSES):
@@ -311,9 +299,9 @@ class FleetRouter:
                 attempt += 1
                 try:
                     result = await self._forward_once(
-                        name, addr, method, target, headers, body)
+                        name, addr, method, target, body)
                 except (OSError, asyncio.TimeoutError,
-                        asyncio.IncompleteReadError):
+                        asyncio.IncompleteReadError, ServiceError):
                     continue
                 with self._lock:
                     self._counters["forwarded"] += 1
@@ -323,44 +311,23 @@ class FleetRouter:
         return None, 503, {}, b""
 
     async def _forward_once(self, name: str, addr: Tuple[str, int],
-                            method: str, target: str,
-                            headers: Dict[str, str], body: bytes):
+                            method: str, target: str, body: bytes):
         conn = self._checkout(name)
         if conn is None:
             conn = await asyncio.wait_for(
                 asyncio.open_connection(addr[0], addr[1]), CONNECT_TIMEOUT)
         reader, writer = conn
-        head = [f"{method} {target} HTTP/1.1",
-                f"Host: {addr[0]}:{addr[1]}",
-                "Content-Type: application/json",
-                f"Content-Length: {len(body)}"]
-        request = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
         try:
-            writer.write(request)
+            writer.write(encode_request(method, target, body,
+                                        f"{addr[0]}:{addr[1]}"))
             await asyncio.wait_for(writer.drain(), RESPONSE_TIMEOUT)
             status, resp_headers, resp_body = await asyncio.wait_for(
-                self._read_replica_response(reader), RESPONSE_TIMEOUT)
+                read_response(reader), RESPONSE_TIMEOUT)
         except BaseException:
             writer.close()
             raise
         self._checkin(name, reader, writer)
         return status, resp_headers, resp_body
-
-    async def _read_replica_response(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
-        if not line:
-            raise ConnectionResetError("replica closed connection")
-        status = int(line.split()[1])
-        resp_headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            resp_headers[name.strip().lower()] = value.strip()
-        length = int(resp_headers.get("content-length") or 0)
-        body = await reader.readexactly(length) if length else b""
-        return status, resp_headers, body
 
     def _checkout(self, name: str):
         with self._lock:
@@ -389,16 +356,8 @@ class FleetRouter:
     async def _respond_raw(self, writer: asyncio.StreamWriter, status: int,
                            body: bytes, extra: Dict[str, str],
                            close: bool = False) -> None:
-        reason = _REASONS.get(status, "Unknown")
-        head = [f"HTTP/1.1 {status} {reason}",
-                "Content-Type: application/json",
-                f"Content-Length: {len(body)}",
-                "Server: repro-fleet-router/1.0"]
-        for name, value in extra.items():
-            head.append(f"{name}: {value}")
-        if close:
-            head.append("Connection: close")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
+        writer.write(encode_response(status, body, server=SERVER_NAME,
+                                     close=close, headers=extra))
         try:
             await asyncio.wait_for(writer.drain(), RESPONSE_TIMEOUT)
         except (OSError, asyncio.TimeoutError):  # noqa: R005 — client already gone

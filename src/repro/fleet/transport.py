@@ -854,17 +854,19 @@ class FaultyTransport:
                             self.counters["delayed"] += 1
                         time.sleep(event.delay_s)
                     frame = self.codec.encode_frame(payload, out_seq)
-                    copies = 2 if event.duplicate else 1
-                    try:
-                        for _ in range(copies):
-                            dst.sendall(frame)
-                    except OSError:
-                        return
                     out_seq += 1
+                    # Count before sending: once the bytes are out, the
+                    # peer may answer and the caller may read the
+                    # counters before this thread runs again.
                     with self._lock:
                         self.counters["forwarded"] += 1
                         if event.duplicate:
                             self.counters["duplicated"] += 1
+                    try:
+                        for _ in range(2 if event.duplicate else 1):
+                            dst.sendall(frame)
+                    except OSError:
+                        return
         finally:
             src.close()
             dst.close()

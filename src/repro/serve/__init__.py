@@ -3,9 +3,11 @@
 The deployment story of the reproduction (DESIGN §11): train an estimator,
 :func:`save_catehgn` it to a versioned ``.npz`` checkpoint, freeze it into
 an :class:`InferenceEngine` (one tape-free forward per graph snapshot),
-and expose predictions over stdlib HTTP via ``python -m repro.serve``.
+and expose predictions over stdlib HTTP via ``python -m repro.serve``
+(the asyncio server, :class:`AsyncPredictionServer`).
 """
 
+from ..wire import ServiceError, ServiceLimits
 from .aio import (
     AdmissionFull,
     AdmissionQueue,
@@ -33,14 +35,6 @@ from .degrade import ReloadRejected, ServingRuntime
 from .engine import InferenceEngine
 from .metrics import ServiceMetrics
 from .prior import PriorHead
-from .service import (
-    InflightLimiter,
-    ResilientHTTPServer,
-    ServiceError,
-    ServiceLimits,
-    make_server,
-    serve_forever,
-)
 
 __all__ = [
     "AdmissionFull",
@@ -54,11 +48,9 @@ __all__ = [
     "CircuitBreaker",
     "DynamicBatcher",
     "InferenceEngine",
-    "InflightLimiter",
     "LRUCache",
     "PriorHead",
     "ReloadRejected",
-    "ResilientHTTPServer",
     "RestoredCATEHGN",
     "ServiceError",
     "ServiceLimits",
@@ -66,11 +58,9 @@ __all__ = [
     "ServingRuntime",
     "load_checkpoint",
     "load_gnn_baseline",
-    "make_server",
     "restore_catehgn",
     "save_catehgn",
     "save_checkpoint",
     "save_gnn_baseline",
-    "serve_forever",
     "serve_forever_aio",
 ]

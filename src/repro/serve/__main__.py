@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import argparse
 
+from ..wire import ServiceLimits
+from .aio import BatchSettings, serve_forever_aio
+from .engine import InferenceEngine
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -34,61 +38,51 @@ def build_parser() -> argparse.ArgumentParser:
                              "copy via the OS page cache")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-request access logs")
-    aio = parser.add_argument_group("asyncio runtime (DESIGN §16)")
-    aio.add_argument("--aio", action="store_true",
-                     help="serve on the asyncio runtime with cross-request "
-                          "dynamic batching instead of the threaded server")
-    aio.add_argument("--max-batch-size", type=int, default=256,
-                     help="flush a batch once its coalesced cost (paper ids "
-                          "+ ranks) reaches this many units")
-    aio.add_argument("--max-wait-ms", type=float, default=2.0,
-                     help="flush a partial batch this many ms after its "
-                          "first request arrived")
-    aio.add_argument("--queue-depth", type=int, default=1024,
-                     help="admission queue bound; excess requests are shed "
-                          "with 503 + Retry-After")
+    parser.add_argument("--aio", action="store_true",
+                        help="accepted and ignored: the asyncio server is "
+                             "the only server")
+    batching = parser.add_argument_group("dynamic batching (DESIGN §16)")
+    defaults = BatchSettings()
+    batching.add_argument("--max-batch-size", type=int,
+                          default=defaults.max_batch_size,
+                          help="flush a batch once its coalesced cost (paper "
+                               "ids + ranks) reaches this many units")
+    batching.add_argument("--max-wait-ms", type=float,
+                          default=defaults.max_wait_ms,
+                          help="flush a partial batch this many ms after its "
+                               "first request arrived")
+    batching.add_argument("--queue-depth", type=int,
+                          default=defaults.max_queue_depth,
+                          help="admission queue bound; excess requests are "
+                               "shed with 503 + Retry-After")
     limits = parser.add_argument_group("limits (DESIGN §12)")
-    limits.add_argument("--max-inflight", type=int, default=64,
-                        help="max concurrently-executing requests; excess "
-                             "is shed with 503 + Retry-After")
-    limits.add_argument("--max-body-bytes", type=int, default=1 << 20,
+    guard = ServiceLimits()
+    limits.add_argument("--max-body-bytes", type=int,
+                        default=guard.max_body_bytes,
                         help="reject larger request bodies with 413")
-    limits.add_argument("--read-timeout", type=float, default=5.0,
-                        help="socket read timeout in seconds (stalled or "
-                             "truncating clients get 400)")
-    limits.add_argument("--deadline", type=float, default=None,
-                        help="per-request deadline in seconds; late "
-                             "responses become 504 (default: off)")
+    limits.add_argument("--read-timeout", type=float,
+                        default=guard.read_timeout,
+                        help="deadline in seconds for reading one whole "
+                             "request (a stalled or truncated body gets 400; "
+                             "an idle connection is closed)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Imports after arg parsing so --help stays instant.
-    from .engine import InferenceEngine
-    from .service import ServiceLimits, serve_forever
-
     engine = InferenceEngine.from_checkpoint(
         args.checkpoint, cache_size=args.cache_size,
         micro_batch=args.micro_batch,
         mmap_mode="r" if args.mmap else None,
     )
     limits = ServiceLimits(max_body_bytes=args.max_body_bytes,
-                           max_inflight=args.max_inflight,
-                           read_timeout=args.read_timeout,
-                           deadline_seconds=args.deadline)
-    if args.aio:
-        from .aio import BatchSettings, serve_forever_aio
-
-        settings = BatchSettings(max_batch_size=args.max_batch_size,
-                                 max_wait_ms=args.max_wait_ms,
-                                 max_queue_depth=args.queue_depth)
-        serve_forever_aio(engine, host=args.host, port=args.port,
-                          verbose=not args.quiet, limits=limits,
-                          settings=settings)
-        return 0
-    serve_forever(engine, host=args.host, port=args.port,
-                  verbose=not args.quiet, limits=limits)
+                           read_timeout=args.read_timeout)
+    settings = BatchSettings(max_batch_size=args.max_batch_size,
+                             max_wait_ms=args.max_wait_ms,
+                             max_queue_depth=args.queue_depth)
+    serve_forever_aio(engine, host=args.host, port=args.port,
+                      verbose=not args.quiet, limits=limits,
+                      settings=settings)
     return 0
 
 

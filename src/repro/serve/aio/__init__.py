@@ -2,15 +2,15 @@
 
 See DESIGN §16.  Public surface:
 
-* :class:`AsyncPredictionServer` — the asyncio HTTP app (same endpoint
-  and JSON surface as the threaded server);
+* :class:`AsyncPredictionServer` — the asyncio HTTP app, the one
+  server behind ``repro-serve`` and every fleet replica;
 * :class:`BackgroundAsyncServer` — the app on its own thread + loop,
   for tests / drills / benchmarks;
 * :func:`serve_forever_aio` — blocking CLI entry point;
 * :class:`DynamicBatcher` / :class:`BatchSettings` — the coalescing
   core and its watermarks;
 * :class:`AdmissionQueue` / :class:`AdmissionFull` — bounded admission
-  (the asyncio analogue of ``InflightLimiter``);
+  (503 + ``Retry-After`` beyond the bound);
 * :class:`BatchingMetrics` — per-flush observability.
 """
 

@@ -1,15 +1,13 @@
 """Bounded admission queue for the asyncio serving runtime (DESIGN §16).
 
-The asyncio analogue of the threaded server's
-:class:`~repro.serve.service.InflightLimiter`: work is admitted into a
-**bounded** queue and anything beyond the bound is shed immediately with
-``503`` + ``Retry-After`` instead of building an unbounded backlog.  The
-difference is *where* the bound bites — the threaded limiter caps
-concurrently-executing handler threads, while here queued requests are
-cheap coroutines and the bound caps how much latency the backlog may
-represent.  ``/healthz`` and ``/metrics`` never pass through admission
-(a saturated server must keep answering its probes), exactly like the
-threaded ``CONTROL_ENDPOINTS`` bypass.
+The server's overload guard: work is admitted into a **bounded** queue
+and anything beyond the bound is shed immediately with ``503`` +
+``Retry-After`` instead of building an unbounded backlog.  Queued
+requests are cheap coroutines, so the bound caps how much latency the
+backlog may represent, not how many requests execute at once (the
+batcher runs one flush at a time).  ``/healthz`` and ``/metrics`` never
+pass through admission (the server's ``CONTROL_ENDPOINTS``): a
+saturated server must keep answering its probes.
 
 Single-threaded by design: every method runs on the event-loop thread,
 so no locks are needed (and the A-rules have nothing to guard).

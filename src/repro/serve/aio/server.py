@@ -1,24 +1,25 @@
 """Asyncio HTTP server with cross-request dynamic batching (DESIGN §16).
 
-The asyncio twin of :mod:`repro.serve.service`: the same endpoint
-surface (``/predict`` GET+POST, ``/rank``, ``/healthz``, ``/metrics``,
-``/admin/reload``), the same JSON wire format, the same overload
-semantics (503 + ``Retry-After`` on saturation, 413 body caps, 400 for
-truncated bodies, probes always answered) — but one thread, one event
-loop, and every concurrent ``/predict``/``/rank`` funneled through the
+The one HTTP front end of a serving process: ``/predict`` (GET and
+POST), ``/rank``, ``/healthz``, ``/metrics`` and ``/admin/reload`` over
+JSON, with 503 + ``Retry-After`` when the admission queue is full, and
+probes that bypass admission so a saturated server still answers them.
+One thread runs one event loop, and every concurrent
+``/predict``/``/rank`` is funneled through the
 :class:`~repro.serve.aio.batcher.DynamicBatcher` so overlapping
 requests share a single tape-free engine forward.
 
-stdlib-only: ``asyncio.start_server`` plus a hand-rolled HTTP/1.1
-request parser (keep-alive aware) keeps the zero-dependency constraint.
-The degraded-mode story is unchanged — predictions flow through the
-PR-5 :class:`~repro.serve.degrade.ServingRuntime`, so breaker trips
-fall back model → cache → prior and still answer 200.
+stdlib-only: ``asyncio.start_server`` plus the shared HTTP/1.1 codec in
+:mod:`repro.wire` (keep-alive, body framing, 413/431 caps, one read
+deadline per request), which the fleet router uses too.
+Predictions flow through the
+:class:`~repro.serve.degrade.ServingRuntime`, so breaker trips fall
+back model → cache → prior and still answer 200.
 
 Entry points: :func:`serve_forever_aio` (blocking, used by
-``repro-serve --aio``) and :class:`BackgroundAsyncServer` (own thread +
-event loop, used by tests, the ``batching`` drill, and the
-``benchmarks/perf loadtest`` harness).
+``repro-serve``) and :class:`BackgroundAsyncServer` (own thread + event
+loop, used by tests, drills, examples and the ``benchmarks/perf
+loadtest`` harness).
 """
 
 from __future__ import annotations
@@ -27,17 +28,20 @@ import asyncio
 import json
 import threading
 from typing import Any, Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs
 
+from ...wire import ServiceError, ServiceLimits, encode_response, read_request
 from ..degrade import ReloadRejected, ServingRuntime
 from ..metrics import ServiceMetrics
-from ..service import CONTROL_ENDPOINTS, ServiceError, ServiceLimits
 from .admission import AdmissionFull
 from .batcher import BatchSettings, DynamicBatcher
 
-#: Hard cap on request-line + header bytes (not payload, which has its
-#: own ``max_body_bytes`` limit).
-MAX_HEADER_BYTES = 16 * 1024
+#: Endpoints that bypass admission: operability probes must keep
+#: answering while the server is saturated.
+CONTROL_ENDPOINTS = frozenset({"/healthz", "/metrics"})
+
+#: ``Server`` header of every response.
+SERVER_NAME = "repro-serve-aio/1.0"
 
 
 class AsyncPredictionServer:
@@ -108,95 +112,37 @@ class AsyncPredictionServer:
 
     async def _handle_one(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> bool:
-        """Parse and answer one request; returns keep-alive."""
-        timeout = self.limits.read_timeout
+        """Read and answer one request; returns keep-alive."""
         try:
-            line = await asyncio.wait_for(reader.readline(), timeout)
-        except asyncio.TimeoutError:
-            return False  # idle keep-alive connection: close quietly
-        if not line or not line.strip():
+            request = await read_request(reader, self.limits)
+        except ServiceError as exc:
+            # Bad framing: answer once and close, since the rest of the
+            # stream can no longer be trusted.
+            endpoint = exc.path or "<parse>"
+            self.metrics.observe(endpoint, 0.0, error=True)
+            await self._respond(writer, endpoint, {"error": exc.message},
+                                exc.status, close=True)
             return False
-        try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
-        except ValueError:
-            await self._respond(writer, "<parse>",
-                                {"error": "malformed request line"}, 400,
-                                close=True)
-            return False
-
-        headers: Dict[str, str] = {}
-        header_bytes = len(line)
-        while True:
-            try:
-                raw = await asyncio.wait_for(reader.readline(), timeout)
-            except asyncio.TimeoutError:
-                return False
-            header_bytes += len(raw)
-            if header_bytes > MAX_HEADER_BYTES:
-                await self._respond(writer, "<parse>",
-                                    {"error": "headers too large"}, 431,
-                                    close=True)
-                return False
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-
-        parsed = urlparse(target)
-        endpoint = parsed.path
-        client_close = headers.get("connection", "").lower() == "close"
+        if request is None:
+            return False  # end of stream or idle keep-alive connection
         if self.verbose:
-            print(f"aio {method} {target}")
-
-        # -- body --------------------------------------------------------
-        length = int(headers.get("content-length") or 0)
-        if length > self.limits.max_body_bytes:
-            # Never read the oversized payload; close so unread bytes
-            # cannot be misparsed as a follow-up request.
-            await self._respond(
-                writer, endpoint,
-                {"error": f"request body of {length} bytes exceeds the "
-                          f"{self.limits.max_body_bytes}-byte limit"},
-                413, close=True)
-            return False
-        body = b""
-        if length > 0:
-            try:
-                body = await asyncio.wait_for(reader.readexactly(length),
-                                              timeout)
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-                await self._respond(
-                    writer, endpoint,
-                    {"error": f"request body truncated: Content-Length "
-                              f"{length} not received within {timeout}s"},
-                    400, close=True)
-                return False
-
+            print(f"aio {request.method} {request.target}")
+        endpoint = request.path
         payload, status, extra = await self._dispatch(
-            method, endpoint, parsed.query, body)
+            request.method, endpoint, request.query, request.body)
+        close = not request.keep_alive
         sent = await self._respond(writer, endpoint, payload, status,
-                                   headers=extra, close=client_close)
-        return sent and not client_close
+                                   headers=extra, close=close)
+        return sent and not close
 
     async def _respond(self, writer: asyncio.StreamWriter, endpoint: str,
                        payload: dict, status: int,
                        headers: Optional[Dict[str, str]] = None,
                        close: bool = False) -> bool:
-        body = json.dumps(payload).encode()
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  409: "Conflict", 413: "Payload Too Large",
-                  431: "Request Header Fields Too Large",
-                  500: "Internal Server Error",
-                  503: "Service Unavailable"}.get(status, "Response")
-        head = [f"HTTP/1.1 {status} {reason}",
-                "Content-Type: application/json",
-                f"Content-Length: {len(body)}",
-                "Server: repro-serve-aio/1.0",
-                f"Connection: {'close' if close else 'keep-alive'}"]
-        for name, value in (headers or {}).items():
-            head.append(f"{name}: {value}")
         try:
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
+            writer.write(encode_response(
+                status, json.dumps(payload).encode(), server=SERVER_NAME,
+                close=close, headers=headers))
             await writer.drain()
         except (BrokenPipeError, ConnectionResetError):
             self.metrics.record_disconnect(endpoint)
@@ -214,8 +160,8 @@ class AsyncPredictionServer:
         extra: Dict[str, str] = {}
         try:
             if endpoint in CONTROL_ENDPOINTS:
-                # Probes bypass admission entirely, as in the threaded
-                # server: a saturated server still answers them.
+                # Probes bypass admission entirely: a saturated server
+                # still answers them.
                 payload, status = self._handle_control(endpoint)
             elif endpoint == "/predict" and method == "GET":
                 payload, status = await self._handle_predict_query(query)
@@ -340,7 +286,7 @@ def serve_forever_aio(engine, host: str = "127.0.0.1", port: int = 8099,
                       verbose: bool = True,
                       limits: Optional[ServiceLimits] = None,
                       settings: Optional[BatchSettings] = None) -> None:
-    """Blocking entry point used by ``repro-serve --aio``."""
+    """Blocking entry point used by ``repro-serve``."""
 
     async def _main() -> None:
         app = AsyncPredictionServer(engine, limits=limits,

@@ -132,9 +132,9 @@ class InferenceEngine:
         if node_type not in self.batch.node_types:
             raise KeyError(f"unknown node type {node_type!r}")
         key = (node_type, cluster)
-        # Check-compute-store under the engine lock: concurrent /rank
-        # requests for the same key must not interleave dict mutation
-        # (ThreadingHTTPServer runs handlers on separate threads).
+        # Check-compute-store under the engine lock: the server's batch
+        # executor and in-process callers (drills, tests) may rank the
+        # same key from different threads.
         with self._lock:
             if key not in self._impact_cache:
                 if cluster is not None:

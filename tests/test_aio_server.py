@@ -1,7 +1,8 @@
 """HTTP tests for the asyncio serving runtime (DESIGN §16).
 
-Covers the endpoint surface (parity with the threaded server, pinned
-bitwise on the response bodies), the admission-queue backpressure
+Covers the endpoint surface (response bodies pinned bitwise against
+JSON built from ``ServingRuntime.predict`` and ``engine.rank`` on an
+unbatched reference engine), the admission-queue backpressure
 semantics (503 + Retry-After, probes bypass admission), request-framing
 edge cases over raw sockets, and an 8-thread client stress run under
 the tsan-lite race detector.
@@ -24,13 +25,12 @@ from repro.serve import (
     InferenceEngine,
     ServiceLimits,
     ServingRuntime,
-    make_server,
 )
 
 
 @pytest.fixture(scope="module")
 def served(tiny_dataset, tmp_path_factory):
-    """(estimator, engine, aio base URL, threaded base URL)."""
+    """(estimator, engine, base URL, reference runtime)."""
     config = default_cate_config(dim=16, seed=0, outer_iters=1, mini_iters=1)
     est = CATEHGN(config).fit(tiny_dataset)
     path = est.save_checkpoint(tmp_path_factory.mktemp("ckpt") / "model")
@@ -39,16 +39,13 @@ def served(tiny_dataset, tmp_path_factory):
     bg = BackgroundAsyncServer(aio_engine,
                                settings=BatchSettings(max_wait_ms=1.0))
     host, port = bg.start()
+    # A second engine on the same checkpoint, called directly: the
+    # unbatched answer every wire response must reproduce byte for byte.
+    reference = ServingRuntime(
+        InferenceEngine.from_checkpoint(path, cache_size=0))
 
-    threaded_engine = InferenceEngine.from_checkpoint(path, cache_size=0)
-    server = make_server(threaded_engine, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-
-    yield (est, aio_engine, f"http://{host}:{port}",
-           f"http://127.0.0.1:{server.server_address[1]}")
+    yield est, aio_engine, f"http://{host}:{port}", reference
     bg.shutdown()
-    server.shutdown()
 
 
 def _get(base, path):
@@ -70,12 +67,23 @@ def _err(fn, *args):
     return info.value
 
 
+def _predict_json(runtime, ids):
+    """The /predict body for ``ids``, built from one unbatched call."""
+    out = runtime.predict(ids)
+    return json.dumps({
+        "paper_ids": [int(i) for i in ids],
+        "predictions": [float(p) for p in out["predictions"]],
+        "source": out["source"],
+        "degraded": out["degraded"],
+    }).encode()
+
+
 # ---------------------------------------------------------------------------
-# Endpoint surface + bitwise parity with the threaded server
+# Endpoint surface + bitwise parity with unbatched engine calls
 # ---------------------------------------------------------------------------
 class TestEndpoints:
     def test_healthz(self, served):
-        _est, engine, base, _threaded = served
+        _est, engine, base, _reference = served
         status, body = _get(base, "/healthz")
         health = json.loads(body)
         assert status == 200
@@ -84,23 +92,21 @@ class TestEndpoints:
         assert health["num_papers"] == engine.num_papers
         assert health["queue_depth"] == 0
 
-    def test_predict_post_bitwise_matches_threaded(self, served):
-        _est, engine, base, threaded = served
+    def test_predict_post_bitwise_matches_runtime(self, served):
+        _est, engine, base, reference = served
         ids = [0, 3, 7, engine.num_papers - 1]
-        _, aio_body = _post(base, "/predict", {"paper_ids": ids})
-        _, thr_body = _post(threaded, "/predict", {"paper_ids": ids})
+        _, body = _post(base, "/predict", {"paper_ids": ids})
         # Byte-identical JSON: same values, same key order, no float
         # drift between the batched and the unbatched path.
-        assert aio_body == thr_body
+        assert body == _predict_json(reference, ids)
 
-    def test_predict_get_bitwise_matches_threaded(self, served):
-        _est, _engine, base, threaded = served
-        _, aio_body = _get(base, "/predict?ids=1,2,5")
-        _, thr_body = _get(threaded, "/predict?ids=1,2,5")
-        assert aio_body == thr_body
+    def test_predict_get_bitwise_matches_runtime(self, served):
+        _est, _engine, base, reference = served
+        _, body = _get(base, "/predict?ids=1,2,5")
+        assert body == _predict_json(reference, [1, 2, 5])
 
     def test_predict_matches_estimator(self, served):
-        est, _engine, base, _threaded = served
+        est, _engine, base, _reference = served
         _, body = _post(base, "/predict", {"paper_ids": [4, 9]})
         out = json.loads(body)
         expected = est.predict()[[4, 9]]
@@ -108,15 +114,16 @@ class TestEndpoints:
         assert out["source"] == "model"
         assert out["degraded"] is False
 
-    def test_rank_bitwise_matches_threaded(self, served):
-        _est, _engine, base, threaded = served
-        payload = {"node_type": "paper", "k": 5}
-        _, aio_body = _post(base, "/rank", payload)
-        _, thr_body = _post(threaded, "/rank", payload)
-        assert aio_body == thr_body
+    def test_rank_bitwise_matches_engine(self, served):
+        _est, _engine, base, reference = served
+        _, body = _post(base, "/rank", {"node_type": "paper", "k": 5})
+        assert body == json.dumps({
+            "node_type": "paper",
+            "ranking": reference.engine.rank("paper", k=5),
+        }).encode()
 
     def test_title_cold_start(self, served):
-        _est, engine, base, _threaded = served
+        _est, engine, base, _reference = served
         _, body = _post(base, "/predict", {"title": "graph neural nets"})
         out = json.loads(body)
         assert out["cold_start"] is True
@@ -124,7 +131,7 @@ class TestEndpoints:
             engine.score_title("graph neural nets"))
 
     def test_metrics_exposes_batching(self, served):
-        _est, _engine, base, _threaded = served
+        _est, _engine, base, _reference = served
         _, body = _get(base, "/metrics")
         metrics = json.loads(body)
         batching = metrics["batching"]
@@ -143,7 +150,7 @@ class TestErrors:
         assert _err(_get, served[2], "/nope").code == 404
 
     def test_out_of_range_id_400(self, served):
-        _est, engine, base, _threaded = served
+        _est, engine, base, _reference = served
         exc = _err(_post, base, "/predict",
                    {"paper_ids": [engine.num_papers + 5]})
         assert exc.code == 400
@@ -317,7 +324,7 @@ def _post_quietly(base, body):
 # ---------------------------------------------------------------------------
 def test_concurrent_clients_stress(served, run_threads):
     """8 client threads, race-detector window, exact answers."""
-    est, engine, base, _threaded = served
+    est, engine, base, _reference = served
     expected = est.predict()
     per_thread = 12
     # The module-scoped server already served this file's deliberate

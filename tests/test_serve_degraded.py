@@ -8,8 +8,9 @@ Covers DESIGN §13's serving half with exact-count assertions:
 - :class:`ServingRuntime` fallback chain model → cache → prior with
   ``source``/``degraded`` tagging, client errors never moving the
   breaker, deadline accounting;
-- HTTP surface: 200-from-prior under engine fault (zero 5xx), breaker
-  state in ``/healthz``, exact fallback counters in ``/metrics``;
+- HTTP surface (the asyncio server): 200-from-prior under engine fault
+  (zero 5xx), breaker state in ``/healthz``, exact fallback counters in
+  ``/metrics``;
 - hot reload shadow-validation gates: golden-parity failure and
   contract failure each leave the old engine serving.
 """
@@ -25,12 +26,12 @@ import numpy as np
 import pytest
 
 from repro.serve import (
+    BackgroundAsyncServer,
     CircuitBreaker,
     LRUCache,
     ReloadRejected,
     ServiceMetrics,
     ServingRuntime,
-    make_server,
 )
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN
 
@@ -295,15 +296,11 @@ def degraded_server():
     engine = FlakyEngine()
     runtime = ServingRuntime(engine, breaker=CircuitBreaker(
         failure_threshold=2, recovery_seconds=60.0, clock=FakeClock()))
-    server = make_server(engine, port=0, metrics=ServiceMetrics(),
-                         runtime=runtime)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield engine, runtime, base
+    server = BackgroundAsyncServer(engine, metrics=ServiceMetrics(),
+                                   runtime=runtime)
+    host, port = server.start()
+    yield engine, runtime, f"http://{host}:{port}"
     server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
 
 
 def _call(method, url, body=None, timeout=10):
@@ -379,7 +376,11 @@ class TestHTTPDegraded:
         assert all(source == "prior" and degraded
                    for _, source, degraded in results)
         status, metrics = _call("GET", base + "/metrics")
-        assert metrics["served"]["prior"] == 48
+        # The runtime serves once per flush: concurrent requests that
+        # shared a batch share one prior answer.
+        batching = metrics["batching"]
+        assert batching["batched_requests"] == 48
+        assert metrics["served"]["prior"] == batching["batches"]
         assert metrics["served"]["unserved"] == 0
         assert metrics["breaker"]["trips"] == 1
 

@@ -1,7 +1,6 @@
 """HTTP service smoke test: boot on an ephemeral port, hit every endpoint."""
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -10,7 +9,7 @@ import pytest
 
 from repro.core import CATEHGN
 from repro.eval.runner import default_cate_config
-from repro.serve import InferenceEngine, make_server
+from repro.serve import BackgroundAsyncServer, InferenceEngine
 
 
 @pytest.fixture(scope="module")
@@ -19,14 +18,10 @@ def served(tiny_dataset, tmp_path_factory):
     est = CATEHGN(config).fit(tiny_dataset)
     path = est.save_checkpoint(tmp_path_factory.mktemp("ckpt") / "model")
     engine = InferenceEngine.from_checkpoint(path)
-    server = make_server(engine, port=0)  # ephemeral port
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield est, engine, base
+    server = BackgroundAsyncServer(engine)  # ephemeral port
+    host, port = server.start()
+    yield est, engine, f"http://{host}:{port}"
     server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
 
 
 def _get(url):

@@ -1,19 +1,19 @@
-"""Hardened-serving behaviour: overload shedding, deadlines, bad clients.
+"""Hardened-serving behaviour: overload shedding, bad clients, exact counters.
 
-These tests run the real ``ResilientHTTPServer`` stack against a stub
-engine (no training, no checkpoint) so each failure mode is exercised
-deterministically:
+These tests run the real asyncio server (``BackgroundAsyncServer``)
+against a stub engine (no training, no checkpoint) so each failure mode
+is exercised deterministically:
 
-- in-flight limit -> 503 + ``Retry-After`` + shed counters + degraded
-  ``/healthz`` (which bypasses the limiter);
+- a full admission queue -> 503 + ``Retry-After`` + shed counters +
+  degraded ``/healthz`` (which bypasses admission);
 - body larger than the cap -> 413 before a byte of payload is read;
 - a client that promises more body than it sends -> 400, bounded by the
-  read timeout, handler thread released;
+  read deadline, connection closed;
 - a client that slams the connection mid-response -> counted as a
   disconnect, server keeps serving;
-- deadline overruns -> 504 + counter;
+- a fast request under the runtime's model deadline -> unaffected;
 - concurrent hammering -> exact request counters (no lost/duplicated
-  increments under ThreadingHTTPServer).
+  increments).
 """
 
 import json
@@ -27,8 +27,8 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.serve import LRUCache, ServiceLimits, ServiceMetrics, make_server
-from repro.serve.service import InflightLimiter
+from repro.serve import (BackgroundAsyncServer, BatchSettings, LRUCache,
+                         ServiceLimits, ServiceMetrics, ServingRuntime)
 
 
 # ----------------------------------------------------------------------
@@ -43,7 +43,7 @@ class StubEngine:
         self.cache = LRUCache(cache_size)
         self.gate = threading.Event()  # when cleared, predict blocks
         self.gate.set()
-        self.delay = 0.0
+        self.entered = threading.Event()  # set once predict has been called
 
     def info(self) -> dict:
         return {"num_papers": self.num_papers, "stub": True}
@@ -52,8 +52,7 @@ class StubEngine:
         ids = np.asarray(paper_ids, dtype=np.intp).reshape(-1)
         if len(ids) and (ids.min() < 0 or ids.max() >= self.num_papers):
             raise IndexError(f"paper id out of range [0, {self.num_papers})")
-        if self.delay:
-            time.sleep(self.delay)
+        self.entered.set()
         self.gate.wait(timeout=30)
         for pid in ids:
             found, _ = self.cache.get(int(pid))
@@ -71,26 +70,29 @@ class StubEngine:
         return 1.0
 
 
+#: One request per flush, flushed at once: a request the engine holds
+#: keeps every later one in the admission queue.
+SERIAL = dict(max_batch_size=1, max_wait_ms=0.0)
+
+
 @pytest.fixture()
 def server_factory():
-    """Boot a hardened server around a StubEngine; auto-teardown."""
+    """Boot the asyncio server around a StubEngine; auto-teardown."""
     servers = []
 
-    def boot(limits: ServiceLimits, engine: StubEngine = None):
+    def boot(limits: ServiceLimits, engine: StubEngine = None,
+             queue_depth: int = 1024, runtime: ServingRuntime = None):
         engine = engine or StubEngine()
-        server = make_server(engine, port=0, limits=limits,
-                             metrics=ServiceMetrics())
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        servers.append((server, thread))
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        return server, engine, base
+        server = BackgroundAsyncServer(
+            engine, limits=limits, metrics=ServiceMetrics(), runtime=runtime,
+            settings=BatchSettings(max_queue_depth=queue_depth, **SERIAL))
+        host, port = server.start()
+        servers.append(server)
+        return server, engine, f"http://{host}:{port}"
 
     yield boot
-    for server, thread in servers:
+    for server in servers:
         server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
 
 
 def _get(url, timeout=10):
@@ -103,13 +105,15 @@ def _metrics(base):
     return _get(base + "/metrics")[2]
 
 
-def _wait_drained(server, timeout=5.0):
-    """Wait for the limiter to release (the client can observe the
-    response a hair before the handler thread runs its finally block)."""
+def _port(server):
+    return server.address[1]
+
+
+def _wait_for(condition, timeout=5.0):
     deadline = time.time() + timeout
-    while server.limiter.in_use > 0 and time.time() < deadline:
+    while not condition() and time.time() < deadline:
         time.sleep(0.01)
-    return server.limiter.in_use
+    return condition()
 
 
 # ----------------------------------------------------------------------
@@ -118,70 +122,60 @@ def _wait_drained(server, timeout=5.0):
 class TestOverload:
     def test_shed_503_with_retry_after_and_degraded_healthz(
             self, server_factory):
-        limits = ServiceLimits(max_inflight=2, retry_after_seconds=7)
-        server, engine, base = server_factory(limits)
-        engine.gate.clear()  # park /predict handlers inside the engine
+        limits = ServiceLimits(retry_after_seconds=7)
+        server, engine, base = server_factory(limits, queue_depth=1)
+        queue = server.app.batcher.queue
+        engine.gate.clear()  # park the first flush inside the engine
 
         results = []
 
-        def hit():
+        def hit(pid):
             try:
-                results.append(("ok", _get(base + "/predict?ids=1")[0]))
+                results.append(("ok", _get(f"{base}/predict?ids={pid}")[0]))
             except urllib.error.HTTPError as err:
                 retry = err.headers.get("Retry-After")
                 results.append(("http", err.code, retry))
 
-        workers = [threading.Thread(target=hit) for _ in range(2)]
-        for w in workers:
-            w.start()
-        # Wait until both slots are genuinely occupied.
-        deadline = time.time() + 5
-        while server.limiter.in_use < 2 and time.time() < deadline:
-            time.sleep(0.01)
-        assert server.limiter.in_use == 2
+        # One request computing (held by the gate), one queued behind it.
+        first = threading.Thread(target=hit, args=(1,))
+        first.start()
+        assert engine.entered.wait(5)
+        second = threading.Thread(target=hit, args=(2,))
+        second.start()
+        assert _wait_for(lambda: queue.depth == 1)
 
-        # Health checks bypass the limiter and report saturation.
+        # Health checks bypass admission and report saturation.
         status, _headers, health = _get(base + "/healthz")
         assert status == 200
         assert health["status"] == "degraded"
-        assert health["inflight"] == 2 and health["inflight_limit"] == 2
+        assert health["queue_depth"] == 1 and health["queue_capacity"] == 1
 
         # A third work request is shed immediately: 503 + Retry-After.
         with pytest.raises(urllib.error.HTTPError) as err:
-            _get(base + "/predict?ids=2", timeout=5)
+            _get(base + "/predict?ids=3", timeout=5)
         assert err.value.code == 503
         assert err.value.headers["Retry-After"] == "7"
 
-        engine.gate.set()  # release the parked handlers
-        for w in workers:
-            w.join(timeout=10)
+        engine.gate.set()  # release the parked flush
+        for worker in (first, second):
+            worker.join(timeout=10)
         assert results.count(("ok", 200)) == 2
 
         body = _metrics(base)
         assert body["total_shed"] == 1
         assert body["endpoints"]["/predict"]["shed"] == 1
-        assert _wait_drained(server) == 0  # every slot released
+        assert queue.depth == 0  # every admitted request was served
 
         # Back to healthy once drained.
         assert _get(base + "/healthz")[2]["status"] == "ok"
 
     def test_limiter_releases_on_handler_error(self, server_factory):
-        server, _engine, base = server_factory(ServiceLimits(max_inflight=1))
+        server, _engine, base = server_factory(ServiceLimits(),
+                                               queue_depth=1)
         with pytest.raises(urllib.error.HTTPError):
             _get(base + "/predict?ids=10000")  # 400 out-of-range
-        assert _wait_drained(server) == 0
+        assert server.app.batcher.queue.depth == 0
         assert _get(base + "/predict?ids=1")[0] == 200  # slot reusable
-
-    def test_inflight_limiter_unit(self):
-        limiter = InflightLimiter(2)
-        assert limiter.try_acquire() and limiter.try_acquire()
-        assert limiter.saturated and not limiter.try_acquire()
-        limiter.release()
-        assert not limiter.saturated and limiter.try_acquire()
-        limiter.release()
-        limiter.release()
-        with pytest.raises(RuntimeError):
-            limiter.release()
 
 
 # ----------------------------------------------------------------------
@@ -203,12 +197,12 @@ class TestBadClients:
         assert body["endpoints"]["/predict"]["errors"] == 1
 
     def test_truncated_body_400_within_read_timeout(self, server_factory):
-        """Promise 512 body bytes, send 5, stall: 400, not a hung thread."""
+        """Promise 512 body bytes, send 5, stall: 400, not a hung reader."""
         server, _engine, base = server_factory(
             ServiceLimits(read_timeout=0.5))
-        port = server.server_address[1]
         start = time.time()
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+        with socket.create_connection(("127.0.0.1", _port(server)),
+                                      timeout=10) as s:
             s.sendall(b"POST /predict HTTP/1.1\r\n"
                       b"Host: x\r\nContent-Type: application/json\r\n"
                       b"Content-Length: 512\r\n\r\n{\"pa")
@@ -223,15 +217,15 @@ class TestBadClients:
         assert b"400" in response.split(b"\r\n", 1)[0]
         assert b"Content-Length" in response
         assert elapsed < 5.0, "read timeout did not bound the stall"
-        # The handler thread was released and the server still works.
+        # The connection was released and the server still works.
         assert _get(base + "/predict?ids=1")[0] == 200
 
     def test_half_closed_body_400(self, server_factory):
         """Client sends a short body then FINs: 400 immediately."""
         server, _engine, base = server_factory(
             ServiceLimits(read_timeout=5.0))
-        port = server.server_address[1]
-        s = socket.create_connection(("127.0.0.1", port), timeout=10)
+        s = socket.create_connection(("127.0.0.1", _port(server)),
+                                     timeout=10)
         s.sendall(b"POST /predict HTTP/1.1\r\n"
                   b"Host: x\r\nContent-Length: 512\r\n\r\nshort")
         s.shutdown(socket.SHUT_WR)
@@ -250,14 +244,12 @@ class TestBadClients:
     def test_client_disconnect_counted_not_fatal(self, server_factory):
         server, engine, base = server_factory(ServiceLimits())
         engine.gate.clear()  # hold the response until the client is gone
-        port = server.server_address[1]
-        s = socket.create_connection(("127.0.0.1", port), timeout=10)
+        s = socket.create_connection(("127.0.0.1", _port(server)),
+                                     timeout=10)
         s.sendall(b"GET /predict?ids=3 HTTP/1.1\r\nHost: x\r\n\r\n")
-        # Wait for the handler to pick the request up, then RST the socket
+        # Wait for the engine to pick the request up, then RST the socket
         # (SO_LINGER 0 => hard reset, not a graceful FIN).
-        deadline = time.time() + 5
-        while server.limiter.in_use < 1 and time.time() < deadline:
-            time.sleep(0.01)
+        assert engine.entered.wait(5)
         s.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                      struct.pack("ii", 1, 0))
         s.close()
@@ -272,7 +264,7 @@ class TestBadClients:
             time.sleep(0.05)
         assert total >= 1, "client disconnect was not recorded"
         # And the server shrugged it off.
-        assert _wait_drained(server) == 0
+        assert server.app.batcher.queue.depth == 0
         assert _get(base + "/predict?ids=1")[0] == 200
 
 
@@ -280,23 +272,14 @@ class TestBadClients:
 # Deadlines
 # ----------------------------------------------------------------------
 class TestDeadline:
-    def test_slow_request_504_and_counted(self, server_factory):
-        engine = StubEngine()
-        engine.delay = 0.25
-        _server, _engine, base = server_factory(
-            ServiceLimits(deadline_seconds=0.05), engine)
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _get(base + "/predict?ids=1")
-        assert err.value.code == 504
-        assert b"deadline" in err.value.read()
-        body = _metrics(base)
-        assert body["total_deadline_timeouts"] == 1
-        assert body["endpoints"]["/predict"]["deadline_timeouts"] == 1
-
     def test_fast_request_unaffected(self, server_factory):
-        _server, _engine, base = server_factory(
-            ServiceLimits(deadline_seconds=10.0))
-        assert _get(base + "/predict?ids=1")[0] == 200
+        engine = StubEngine()
+        runtime = ServingRuntime(engine, deadline_seconds=10.0)
+        _server, _engine, base = server_factory(ServiceLimits(), engine,
+                                                runtime=runtime)
+        status, _headers, body = _get(base + "/predict?ids=1")
+        assert status == 200 and body["source"] == "model"
+        assert runtime.breaker.snapshot()["failures"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +291,7 @@ class TestConcurrentCounters:
 
     def test_metrics_and_cache_exact_under_load(self, server_factory,
                                                 run_threads):
-        server, engine, base = server_factory(ServiceLimits(max_inflight=64))
+        server, engine, base = server_factory(ServiceLimits())
 
         def worker(tid):
             for i in range(self.PER_THREAD):
@@ -328,7 +311,7 @@ class TestConcurrentCounters:
         cache = body["cache"]
         assert cache["hits"] + cache["misses"] == total
         assert cache["misses"] == engine.num_papers  # first touch per id
-        assert _wait_drained(server) == 0
+        assert server.app.batcher.queue.depth == 0
 
     def test_lru_cache_exact_counters_under_threads(self, run_threads):
         cache = LRUCache(capacity=16)
@@ -370,11 +353,14 @@ class TestConcurrentCounters:
 def test_cli_limit_flags():
     from repro.serve.__main__ import build_parser
 
-    args = build_parser().parse_args(
-        ["model.npz", "--max-inflight", "4", "--max-body-bytes", "1024",
-         "--read-timeout", "2.5", "--deadline", "1.5"]
+    parser = build_parser()
+    args = parser.parse_args(
+        ["model.npz", "--max-body-bytes", "1024", "--read-timeout", "2.5",
+         "--aio"]
     )
-    assert args.max_inflight == 4
     assert args.max_body_bytes == 1024
     assert args.read_timeout == 2.5
-    assert args.deadline == 1.5
+    # The threaded server's limits went with it.
+    for gone in ("--max-inflight", "--deadline"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["model.npz", gone, "1"])
