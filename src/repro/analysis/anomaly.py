@@ -10,8 +10,8 @@
   op is reported together with that op's recorded creation site — the
   forward line that built the offending node, not just the loss;
 - calling ``backward()`` twice on the same output warns
-  (:class:`TapeReuseWarning`): the tape is still attached, so gradients
-  from the second pass silently *accumulate* on top of the first;
+  (:class:`TapeReuseWarning`) before the engine raises ``RuntimeError``:
+  the first pass freed the tape, so there is nothing left to walk;
 - on exit (or after each ``backward()``), parameters of any modules
   passed to ``detect_anomaly(modules=...)`` whose ``grad`` is still
   ``None`` are reported as unused (:class:`UnusedParameterWarning`) —
@@ -170,8 +170,8 @@ class AnomalyGuard:
             if id(tensor) in guard._consumed:
                 warnings.warn(
                     "detect_anomaly: backward() called again on an "
-                    "already-consumed tape (gradients will accumulate on "
-                    "top of the previous pass)",
+                    "already-consumed tape (the first pass freed it; "
+                    "this call raises RuntimeError)",
                     TapeReuseWarning,
                     stacklevel=2,
                 )

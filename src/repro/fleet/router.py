@@ -40,7 +40,8 @@ import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..wire import (ServiceError, ServiceLimits, encode_request,
-                    encode_response, read_request, read_response)
+                    encode_response, linger_close, read_request,
+                    read_response)
 from .heartbeat import http_json
 from .ring import HashRing
 
@@ -176,6 +177,7 @@ class FleetRouter:
         except ServiceError as exc:
             await self._respond(writer, exc.status, {"error": exc.message},
                                 close=True)
+            await linger_close(reader, writer)
             return False
         if request is None:
             return False

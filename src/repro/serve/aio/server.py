@@ -30,7 +30,8 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
-from ...wire import ServiceError, ServiceLimits, encode_response, read_request
+from ...wire import (ServiceError, ServiceLimits, encode_response,
+                     linger_close, read_request)
 from ..degrade import ReloadRejected, ServingRuntime
 from ..metrics import ServiceMetrics
 from .admission import AdmissionFull
@@ -117,11 +118,13 @@ class AsyncPredictionServer:
             request = await read_request(reader, self.limits)
         except ServiceError as exc:
             # Bad framing: answer once and close, since the rest of the
-            # stream can no longer be trusted.
+            # stream can no longer be trusted; linger so a client still
+            # sending reads the answer rather than a reset.
             endpoint = exc.path or "<parse>"
             self.metrics.observe(endpoint, 0.0, error=True)
-            await self._respond(writer, endpoint, {"error": exc.message},
-                                exc.status, close=True)
+            if await self._respond(writer, endpoint, {"error": exc.message},
+                                   exc.status, close=True):
+                await linger_close(reader, writer)
             return False
         if request is None:
             return False  # end of stream or idle keep-alive connection

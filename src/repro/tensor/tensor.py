@@ -38,6 +38,10 @@ class GradMode:
     #: Cumulative count of tape nodes (tensors carrying a backward
     #: closure) created through :meth:`Tensor._make`.
     tape_nodes: int = 0
+    #: Times the glibc heap settings were applied: at most once per
+    #: process, by its first :meth:`Tensor.backward` (see
+    #: :func:`_keep_freed_heap`); 0 where ``mallopt`` is unavailable.
+    heap_settings_applied: int = 0
 
 
 def is_grad_enabled() -> bool:
@@ -114,6 +118,48 @@ class inference_mode(no_grad):
     outputs are plain constant tensors that can be kept alive (e.g. as
     precomputed node embeddings) without pinning an autodiff graph.
     """
+
+
+#: glibc ``mallopt`` parameter numbers (``malloc.h``) and the values
+#: :func:`_keep_freed_heap` sets.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20))
+_heap_settings_pending = True
+
+
+def _keep_freed_heap() -> None:
+    """Keep the memory each backward pass frees in the process heap.
+
+    Runs once per process, from its first backward pass.  Each pass
+    frees its tape; with glibc's defaults the emptied top of the heap,
+    and every freed array above the dynamic mmap threshold, go back to
+    the kernel, and the next step faults the same pages in again
+    (DESIGN §10.5).  With these settings arrays under 32 MiB come from
+    the heap, and the heap top is trimmed only once 256 MiB of it are
+    free.  A process that never runs backward, such as a server, keeps
+    glibc's defaults.  Where ``mallopt`` is missing this does nothing.
+    """
+    global _heap_settings_pending
+    _heap_settings_pending = False
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return  # not glibc: keep the allocator's own behaviour
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_SETTINGS:
+        mallopt(param, value)
+    GradMode.heap_settings_applied += 1
+
+
+def _released(grad: np.ndarray) -> None:
+    """Backward closure left on an interior node once backward freed it."""
+    raise RuntimeError(
+        "backward() reached a node whose graph an earlier backward() "
+        "already freed; run the forward pass again to backpropagate again")
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
@@ -218,7 +264,18 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor through the recorded tape."""
+        """Backpropagate from this tensor through the recorded tape.
+
+        The pass consumes the tape (PyTorch's ``retain_graph=False``): as
+        soon as an interior node's closure has run, its ``grad``, closure
+        and parent links are dropped, so gradient buffers and forward
+        intermediates are freed during the pass rather than kept into
+        the next step.  Leaves keep their ``grad``.  Backpropagating
+        through a freed node again raises ``RuntimeError`` before any
+        gradient is touched.
+        """
+        if _heap_settings_pending:
+            _keep_freed_heap()
         if grad is None:
             if self.data.size != 1:
                 raise ValueError(
@@ -241,15 +298,25 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
+            if node._backward is _released:
+                _released(grad)  # raises: this graph was already consumed
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        # Popping drops the walk's own reference, so a node nothing else
+        # holds is freed as soon as its closure has run.
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its grad
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _released
+            node._parents = ()
 
     @staticmethod
     def _make(
@@ -261,7 +328,11 @@ class Tensor:
             # Inference mode: never build the tape, whatever the inputs.
             return Tensor(data)
         parents = tuple(p for p in parents if isinstance(p, Tensor))
-        needs_grad = any(p.requires_grad or p._parents for p in parents)
+        # A freed interior node still counts as on the tape, so a new
+        # graph built on it raises at backward() instead of silently
+        # treating it as a constant.
+        needs_grad = any(p.requires_grad or p._backward is not None
+                         for p in parents)
         if not needs_grad:
             return Tensor(data)
         GradMode.tape_nodes += 1

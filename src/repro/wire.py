@@ -21,7 +21,9 @@ Framing rules
 
 :func:`read_request` raises :class:`ServiceError` for every framing
 error; the caller answers it once, with ``close=True``, because the
-rest of the stream can no longer be trusted.
+rest of the stream can no longer be trusted, and then closes through
+:func:`linger_close`, so a client still sending (say, the body of a
+413) reads the answer instead of a connection reset.
 """
 
 from __future__ import annotations
@@ -31,13 +33,17 @@ from dataclasses import dataclass
 from http import HTTPStatus
 from typing import Dict, NamedTuple, Optional, Tuple
 
-__all__ = ["MAX_HEADER_BYTES", "Request", "ServiceError", "ServiceLimits",
-           "encode_request", "encode_response", "read_request",
-           "read_response"]
+__all__ = ["LINGER_SECONDS", "MAX_HEADER_BYTES", "Request", "ServiceError",
+           "ServiceLimits", "encode_request", "encode_response",
+           "linger_close", "read_request", "read_response"]
 
 #: Hard cap on request-line + header bytes (not payload, which has its
 #: own ``max_body_bytes`` limit).
 MAX_HEADER_BYTES = 16 * 1024
+
+#: Longest a front end keeps discarding input after answering a framing
+#: error, before it closes the connection (see :func:`linger_close`).
+LINGER_SECONDS = 2.0
 
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
@@ -196,6 +202,30 @@ def _content_length(headers: Dict[str, str]) -> int:
 
 def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()  # "²".isdigit() is True
+
+
+async def linger_close(reader: asyncio.StreamReader,
+                       writer: asyncio.StreamWriter) -> None:
+    """Let the client read an error answer before the socket closes.
+
+    Closing a socket that still has unread input makes the kernel send a
+    reset, which can destroy an answer the client has not read yet: a
+    client still uploading an over-cap body would get ECONNRESET instead
+    of its 413.  So shut the write side (the client reads the answer,
+    then end of stream) and discard input until the client closes or
+    :data:`LINGER_SECONDS` pass.  The caller closes the socket afterwards.
+    """
+    try:
+        if writer.can_write_eof():
+            writer.write_eof()
+        await asyncio.wait_for(_discard(reader), LINGER_SECONDS)
+    except (OSError, asyncio.TimeoutError):  # noqa: R005 — the close follows either way
+        pass
+
+
+async def _discard(reader: asyncio.StreamReader) -> None:
+    while await reader.read(1 << 16):
+        pass
 
 
 async def read_response(

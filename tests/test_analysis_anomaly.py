@@ -101,11 +101,11 @@ def test_double_backward_warns():
         y = (x * x).sum()
         y.backward()
         with pytest.warns(TapeReuseWarning):
-            y.backward()
-    # The second pass corrupts gradients by accumulating on top of stale
-    # intermediate grads (4 -> 16, not even the "expected" 8) — exactly
-    # the silent bug the warning exists to flag.
-    assert not np.allclose(x.grad, [4.0])
+            with pytest.raises(RuntimeError, match="already freed"):
+                y.backward()
+    # The first pass freed the tape; the second raises before touching
+    # any gradient, so the leaf keeps exactly the first pass's 4.
+    assert np.array_equal(x.grad, [4.0])
 
 
 def test_unused_parameter_warning():

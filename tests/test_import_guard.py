@@ -4,7 +4,9 @@ Each check imports one entry point in a fresh interpreter and lists
 ``sys.modules``.  The router process must stay free of the serving and
 model stack (``repro.serve``'s package import alone pulls in the model
 and scipy), and the serving package must not load the stdlib threaded
-HTTP server.
+HTTP server.  A serving process must also keep glibc's heap defaults:
+only a process that runs ``backward()`` applies the training heap
+settings, once.
 """
 
 import json
@@ -16,14 +18,19 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _modules_after(statement: str) -> set:
-    code = f"import json, sys; {statement}; print(json.dumps(list(sys.modules)))"
+def _run(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    return set(json.loads(out.stdout))
+    return out.stdout
+
+
+def _modules_after(statement: str) -> set:
+    return set(json.loads(_run(
+        f"import json, sys; {statement}; print(json.dumps(list(sys.modules)))")))
 
 
 def _loaded(modules: set, package: str) -> list:
@@ -40,3 +47,33 @@ def test_router_imports_no_serving_or_model_stack():
 def test_serving_package_imports_no_threaded_http_server():
     modules = _modules_after("import repro.serve")
     assert "http.server" not in modules
+
+
+def test_serving_process_keeps_default_heap_settings(tiny_dataset, tmp_path):
+    from repro.core import CATEHGN
+    from repro.eval.runner import default_cate_config
+
+    config = default_cate_config(dim=8, seed=0, outer_iters=1, mini_iters=1)
+    path = CATEHGN(config).fit(tiny_dataset).save_checkpoint(tmp_path / "m")
+    applied = _run(
+        "from repro.serve import InferenceEngine\n"
+        "from repro.tensor import GradMode\n"
+        f"engine = InferenceEngine.from_checkpoint({str(path)!r})\n"
+        "engine.predict([0, 1, 2])\n"
+        "engine.score_title('heterogeneous graph citation')\n"
+        "print(GradMode.heap_settings_applied)\n")
+    assert applied.split() == ["0"]
+
+
+def test_first_backward_applies_heap_settings_once():
+    before, after, has_mallopt = _run(
+        "import ctypes\n"
+        "from repro.tensor import GradMode, Tensor\n"
+        "before = GradMode.heap_settings_applied\n"
+        "x = Tensor([1.0], requires_grad=True)\n"
+        "(x * x).sum().backward()\n"
+        "(x * 3.0).sum().backward()\n"
+        "print(before, GradMode.heap_settings_applied,\n"
+        "      hasattr(ctypes.CDLL(None), 'mallopt'))\n").split()
+    assert before == "0"
+    assert after == ("1" if has_mallopt == "True" else "0")

@@ -4,12 +4,15 @@ One table of badly framed requests goes over raw sockets to a replica
 (``BackgroundAsyncServer``) and to the fleet router in front of it
 (``BackgroundRouter``).  Each must get exactly one response — the same
 status line and JSON body from both — and then a close, with no
-"Unhandled exception" in either event loop's log.  A Hypothesis
-property feeds arbitrary bytes to the codec's readers.
+"Unhandled exception" in either event loop's log.  A client still
+uploading an over-cap body must read its 413 from both, not a reset.
+A Hypothesis property feeds arbitrary bytes to the codec's readers.
 """
 
 import asyncio
 import socket
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -118,6 +121,30 @@ def test_bad_framing_same_answer_from_router_and_replica(front_ends, name,
     assert answers["router"] == answers["replica"]
     assert not [r for r in caplog.records
                 if "Unhandled exception" in r.getMessage()]
+
+
+def _post_status(address, body: bytes):
+    """The status a urllib POST of ``body`` read, or the error it raised."""
+    host, port = address
+    request = urllib.request.Request(
+        f"http://{host}:{port}/predict", data=body, method="POST",
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status
+    except urllib.error.HTTPError as exc:
+        return exc.code
+    except (urllib.error.URLError, OSError) as exc:
+        return repr(exc)
+
+
+def test_over_cap_upload_reads_its_413_not_a_reset(front_ends):
+    """The client is still sending when the 413 goes out; closing with
+    its body unread would reset the connection under the answer."""
+    body = b"x" * (3 * 1024 * 1024)
+    for side, address in front_ends.items():
+        statuses = [_post_status(address, body) for _ in range(5)]
+        assert statuses == [413] * 5, (side, statuses)
 
 
 # ---------------------------------------------------------------------------
