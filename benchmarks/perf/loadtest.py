@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -40,9 +41,8 @@ from ..common import bench_config, bench_datasets
 #: Coalesced-cost watermark used for the benchmark run: high enough
 #: that a 1k-client burst (4 ids each) is split into a handful of
 #: flushes, low enough that a flush never exceeds one engine
-#: micro-batch by much.
-LOADTEST_BATCH = dict(max_batch_size=1024, max_wait_ms=2.0,
-                      max_queue_depth=4096)
+#: micro-batch by much.  The wait floor keeps the library default.
+LOADTEST_BATCH = dict(max_batch_size=1024, max_queue_depth=4096)
 IDS_PER_REQUEST = 4
 
 
@@ -227,7 +227,7 @@ def bench_serving_async(concurrency: int = 1000, per_client: int = 5,
         "total_requests": int(concurrency * per_client),
         "ids_per_request": IDS_PER_REQUEST,
         "num_papers": num_papers,
-        "batch_settings": dict(LOADTEST_BATCH),
+        "batch_settings": asdict(BatchSettings(**LOADTEST_BATCH)),
         "async": {**result, "batching": batching},
     }
 
@@ -313,7 +313,7 @@ def bench_serving_fleet(num_replicas: int = 2, concurrency: int = 1000,
         "total_requests": int(concurrency * per_client),
         "ids_per_request": IDS_PER_REQUEST,
         "num_papers": num_papers,
-        "batch_settings": dict(FLEET_BATCH),
+        "batch_settings": asdict(BatchSettings(**FLEET_BATCH)),
         "single_async": single,
         "fleet": steady,
         "failover": {**failover, "killed_replica": victim,

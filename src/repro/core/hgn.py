@@ -118,6 +118,17 @@ class GraphBatch:
             )
         return self._structure_cell[0]
 
+    def with_features(self, features: Dict[str, np.ndarray]) -> "GraphBatch":
+        """The same batch with new feature rows (same shapes per type).
+
+        Topology is untouched, so the view shares this batch's structure
+        cache.
+        """
+        return GraphBatch(node_types=list(self.node_types), features=features,
+                          edges=self.edges, num_nodes=dict(self.num_nodes),
+                          labeled_ids=self.labeled_ids, labels=self.labels,
+                          _structure_cell=self._structure_cell)
+
     def with_label_inputs(self, input_ids: np.ndarray,
                           input_values: np.ndarray,
                           supervised_ids: np.ndarray,
@@ -366,6 +377,12 @@ class OneSpaceHGN(Module):
 
         for dst_type in self.node_types:
             num_dst = batch.num_nodes[dst_type]
+            if num_dst == 0:
+                # No node to update (a cold-start title's one-paper batch
+                # has no authors, venues or terms): keep the empty
+                # (0, d) entry and skip the type's attention kernels.
+                next_h[dst_type] = h[dst_type]
+                continue
             aggregates: List[Tensor] = []
             kinds: List[int] = []
 

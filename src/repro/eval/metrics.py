@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -41,6 +40,10 @@ def paired_significance(
     Returns (t statistic, p value); a small p with a negative t means
     model A's errors are significantly smaller than model B's.
     """
+    # scipy.stats alone takes most of a second to import; only the
+    # Table-II significance column needs it, so nothing else pays.
+    from scipy import stats
+
     err_a = (np.asarray(y_true) - np.asarray(pred_a)) ** 2
     err_b = (np.asarray(y_true) - np.asarray(pred_b)) ** 2
     t, p = stats.ttest_rel(err_a, err_b)

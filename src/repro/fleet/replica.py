@@ -24,9 +24,9 @@ import json
 import os
 import signal
 
-#: Batching watermarks every replica runs with (``BatchSettings`` fields).
-REPLICA_BATCH = dict(max_batch_size=256, max_wait_ms=2.0,
-                     max_queue_depth=4096)
+#: Batching watermarks every replica runs with (``BatchSettings`` fields;
+#: the wait floor keeps the library default).
+REPLICA_BATCH = dict(max_batch_size=256, max_queue_depth=4096)
 
 
 def build_parser() -> argparse.ArgumentParser:

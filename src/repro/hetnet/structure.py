@@ -14,8 +14,9 @@ recomputed all of them on every layer of every forward.
 - all forward passes over the same batch (every mini-iteration, every
   outer iteration, every evaluation pass of Algorithm 1),
 - the label-input augmented views produced by
-  :meth:`repro.core.hgn.GraphBatch.with_label_inputs` (topology is
-  untouched there, so the cache is propagated), and
+  :meth:`repro.core.hgn.GraphBatch.with_label_inputs` and the feature
+  views of :meth:`~repro.core.hgn.GraphBatch.with_features` (topology
+  is untouched there, so the cache is propagated), and
 - the GNN baselines via :mod:`repro.baselines.gnn_common`.
 
 Invalidation rule: the cache is keyed by object identity of the edge

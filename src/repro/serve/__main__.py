@@ -49,8 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "ids + ranks) reaches this many units")
     batching.add_argument("--max-wait-ms", type=float,
                           default=defaults.max_wait_ms,
-                          help="flush a partial batch this many ms after its "
-                               "first request arrived")
+                          help="opt-in floor: keep a partial batch open this "
+                               "many ms after its first request arrived "
+                               "(default 0 flushes whatever is queued at "
+                               "once)")
     batching.add_argument("--queue-depth", type=int,
                           default=defaults.max_queue_depth,
                           help="admission queue bound; excess requests are "

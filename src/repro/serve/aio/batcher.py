@@ -9,29 +9,33 @@ resolved from slices of the batched result.
 
 Mechanics
 ---------
-Handlers call :meth:`DynamicBatcher.submit_predict` /
-:meth:`DynamicBatcher.submit_rank`, which enqueue a pending request into
-the bounded :class:`~repro.serve.aio.admission.AdmissionQueue` and await
-an ``asyncio.Future``.  A single collector task drains the queue into
-batches and flushes when either watermark is hit:
-
-* **size watermark** — the coalesced cost (total paper ids for predict,
-  1 per rank) reaches ``BatchSettings.max_batch_size``;
-* **wait watermark** — ``BatchSettings.max_wait_ms`` elapsed since the
-  first request of the batch arrived (so a trickle of traffic never
-  waits long for company).
+Handlers call :meth:`DynamicBatcher.submit_predict`,
+:meth:`DynamicBatcher.submit_rank` or :meth:`DynamicBatcher.submit_title`,
+which enqueue a pending request into the bounded
+:class:`~repro.serve.aio.admission.AdmissionQueue` and await an
+``asyncio.Future``.  A single collector task takes whatever is queued
+and flushes it as soon as the queue is empty or the **size watermark**
+is hit: the coalesced cost (total paper ids for predict, 1 per rank or
+title) reaches ``BatchSettings.max_batch_size``.  No request waits for
+company it may never get.
 
 The engine work runs on a single-worker thread executor, so the event
 loop keeps accepting and queueing requests *while the previous batch
-computes* — that overlap is what makes batches grow adaptively under
-load: the heavier the traffic, the more requests accumulate per compute
-window, the cheaper each request gets.
+computes*, and those requests form the next flush.  That overlap is
+what makes batches grow adaptively under load: the heavier the traffic,
+the more requests accumulate per compute window, the cheaper each
+request gets.
+
+``BatchSettings.max_wait_ms`` is an opt-in floor (default 0): with it
+set, the collector keeps a partial batch open that long after its first
+request arrived before flushing it.
 
 Correctness guarantees (pinned by the hypothesis suite):
 
 * batched responses are **bitwise identical** to sequential unbatched
   ones — predictions come from the same micro-batched head path, which
-  is row-wise deterministic, and ranks are stable-argsort prefixes;
+  is row-wise deterministic, ranks are stable-argsort prefixes, and
+  titles are scored one at a time by the engine's own ``score_title``;
 * every submitted request is resolved exactly once, whatever the
   interleaving, including when the engine call raises mid-batch;
 * predictions flow through :class:`~repro.serve.degrade.ServingRuntime`,
@@ -59,8 +63,9 @@ class BatchSettings:
     #: Flush when the coalesced batch reaches this many units of work
     #: (paper ids for /predict, 1 per /rank request).
     max_batch_size: int = 256
-    #: Flush a partial batch this long after its first request arrived.
-    max_wait_ms: float = 2.0
+    #: Keep a partial batch open this long after its first request
+    #: arrived; 0 flushes whatever is queued at once.
+    max_wait_ms: float = 0.0
     #: Admission bound: requests beyond this many queued are shed (503).
     max_queue_depth: int = 1024
 
@@ -72,13 +77,13 @@ class BatchSettings:
 class _Pending:
     """One queued request: payload + the future its response resolves."""
 
-    __slots__ = ("kind", "ids", "node_type", "k", "cluster", "cost",
-                 "future", "enqueued_at", "queue_wait_s")
+    __slots__ = ("kind", "ids", "node_type", "k", "cluster", "title",
+                 "cost", "future", "enqueued_at", "queue_wait_s")
 
     def __init__(self, kind: str, future: "asyncio.Future",
                  enqueued_at: float, ids: Optional[np.ndarray] = None,
                  node_type: str = "", k: int = 0,
-                 cluster: Optional[int] = None) -> None:
+                 cluster: Optional[int] = None, title: str = "") -> None:
         self.kind = kind
         self.future = future
         self.enqueued_at = enqueued_at
@@ -86,6 +91,7 @@ class _Pending:
         self.node_type = node_type
         self.k = k
         self.cluster = cluster
+        self.title = title
         self.cost = len(ids) if ids is not None else 1
         self.queue_wait_s = 0.0
 
@@ -147,18 +153,27 @@ class DynamicBatcher:
         if (num_papers is not None and len(ids)
                 and (ids.min() < 0 or ids.max() >= num_papers)):
             raise IndexError(f"paper id out of range [0, {num_papers})")
-        pending = _Pending("predict", self._make_future(),
-                           self._now(), ids=ids)
-        self.queue.put(pending)  # raises AdmissionFull -> 503
-        self.metrics.record_admitted()
-        return await pending.future
+        return await self._submit(_Pending(
+            "predict", self._make_future(), self._now(), ids=ids))
 
     async def submit_rank(self, node_type: str, k: int,
                           cluster: Optional[int]) -> List[dict]:
         """Queue a /rank; concurrent ranks of one key share a forward."""
-        pending = _Pending("rank", self._make_future(), self._now(),
-                           node_type=node_type, k=int(k), cluster=cluster)
-        self.queue.put(pending)
+        return await self._submit(_Pending(
+            "rank", self._make_future(), self._now(),
+            node_type=node_type, k=int(k), cluster=cluster))
+
+    async def submit_title(self, title: str) -> Dict[str, Any]:
+        """Queue a cold-start title; it is scored alone within its flush.
+
+        A title runs its own one-paper forward, so it shares the flush
+        (and the admission bound) but not the computation.
+        """
+        return await self._submit(_Pending(
+            "title", self._make_future(), self._now(), title=title))
+
+    async def _submit(self, pending: _Pending) -> Any:
+        self.queue.put(pending)  # raises AdmissionFull -> 503
         self.metrics.record_admitted()
         return await pending.future
 
@@ -204,16 +219,17 @@ class DynamicBatcher:
             pending.queue_wait_s = started - pending.enqueued_at
         predicts = [p for p in batch if p.kind == "predict"]
         ranks = [p for p in batch if p.kind == "rank"]
+        titles = [p for p in batch if p.kind == "title"]
         try:
             result = await self._loop.run_in_executor(
-                self._executor, self._forward, predicts, ranks)
+                self._executor, self._forward, predicts, ranks, titles)
         except Exception as exc:  # noqa: BLE001 — fanned out per request
             for pending in batch:
                 self._resolve_exception(pending, exc)
             self.metrics.record_batch(batch, self._now() - started,
                                       failed=True)
             return
-        predicted, ranked = result
+        predicted, ranked, scored = result
         if predicts:
             offsets = np.cumsum([0] + [p.cost for p in predicts])
             values = predicted["predictions"]
@@ -235,10 +251,16 @@ class DynamicBatcher:
                 # so serving pending.k from the group's max-k ranking is
                 # bitwise what an unbatched call would have returned.
                 self._resolve_result(pending, outcome[:pending.k])
+        for pending, outcome in zip(titles, scored):
+            if isinstance(outcome, BaseException):
+                self._resolve_exception(pending, outcome)
+            else:
+                self._resolve_result(
+                    pending, {"prediction": outcome, "cold_start": True})
         self.metrics.record_batch(batch, self._now() - started)
 
-    def _forward(self, predicts: List[_Pending],
-                 ranks: List[_Pending]) -> Tuple[dict, dict]:
+    def _forward(self, predicts: List[_Pending], ranks: List[_Pending],
+                 titles: List[_Pending]) -> Tuple[dict, dict, list]:
         """One executor dispatch covering the whole flush (worker thread).
 
         Predict ids are concatenated into a single
@@ -246,7 +268,9 @@ class DynamicBatcher:
         breaker, one micro-batched head application, one fallback
         decision shared by every coalesced request.  Rank requests are
         grouped by ``(node_type, cluster)`` and each group computes one
-        ranking at the group's largest ``k``.
+        ranking at the group's largest ``k``.  Titles are scored one at
+        a time, each with its own verdict, so a bad title fails only its
+        own request.
         """
         predicted: dict = {}
         if predicts:
@@ -264,7 +288,13 @@ class DynamicBatcher:
                         pending.node_type, k=want_k, cluster=pending.cluster)
                 except Exception as exc:  # noqa: BLE001 — per-key verdict
                     ranked[key] = exc
-        return predicted, ranked
+        scored: List[Any] = []
+        for pending in titles:
+            try:
+                scored.append(self.runtime.engine.score_title(pending.title))
+            except Exception as exc:  # noqa: BLE001 — per-title verdict
+                scored.append(exc)
+        return predicted, ranked, scored
 
     # ------------------------------------------------------------------
     def _resolve_result(self, pending: _Pending, value: Any) -> None:

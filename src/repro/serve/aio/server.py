@@ -4,9 +4,9 @@ The one HTTP front end of a serving process: ``/predict`` (GET and
 POST), ``/rank``, ``/healthz``, ``/metrics`` and ``/admin/reload`` over
 JSON, with 503 + ``Retry-After`` when the admission queue is full, and
 probes that bypass admission so a saturated server still answers them.
-One thread runs one event loop, and every concurrent
-``/predict``/``/rank`` is funneled through the
-:class:`~repro.serve.aio.batcher.DynamicBatcher` so overlapping
+One thread runs one event loop, and every ``/predict`` (ids or a
+cold-start title) and ``/rank`` is admitted into and funneled through
+the :class:`~repro.serve.aio.batcher.DynamicBatcher`, so overlapping
 requests share a single tape-free engine forward.
 
 stdlib-only: ``asyncio.start_server`` plus the shared HTTP/1.1 codec in
@@ -229,16 +229,8 @@ class AsyncPredictionServer:
         if "title" in payload:
             if not isinstance(payload["title"], str) or not payload["title"]:
                 raise ServiceError(400, "title must be a non-empty string")
-            # Cold-start scoring runs a bespoke 1-paper forward that can
-            # never share a batch; dispatch it straight to the executor.
-            loop = asyncio.get_running_loop()
-            try:
-                score = await loop.run_in_executor(
-                    self.batcher._executor, self.engine.score_title,
-                    payload["title"])
-            except ValueError as exc:
-                raise ServiceError(400, str(exc)) from exc
-            return {"prediction": score, "cold_start": True}, 200
+            # Admitted (and shed) like /predict; its ValueError is a 400.
+            return await self.batcher.submit_title(payload["title"]), 200
         if "paper_ids" in payload:
             ids = payload["paper_ids"]
             if not isinstance(ids, list):

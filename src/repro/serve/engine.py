@@ -60,6 +60,7 @@ class InferenceEngine:
         self.freeze_seconds = time.perf_counter() - start
         self._embeddings: Dict[str, Tensor] = self._state.masked[self._L]
         self._impact_cache: Dict[tuple, np.ndarray] = {}  # guarded-by: _lock
+        self._title_template = self._single_paper_template()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -178,7 +179,9 @@ class InferenceEngine:
         (the same featurization the training graph used) and pushed
         through the full model as a one-paper graph — self-loop-only
         propagation, the exact code path of
-        :meth:`~repro.core.model.CATEHGNModel.predict_papers`.
+        :meth:`~repro.core.model.CATEHGNModel.predict_papers`.  Only the
+        paper's feature row is new per title: the batch layout and its
+        structure come from the template built at freeze.
         """
         embeddings = self.restored.embeddings
         if embeddings is None:
@@ -188,31 +191,37 @@ class InferenceEngine:
             )
         tokens = tokenize(title) if isinstance(title, str) else list(title)
         row = embeddings.embed_tokens(tokens).reshape(1, -1)
-        batch = self._single_paper_batch(row)
+        width = self.restored.graph.node_features[PAPER].shape[1]
+        if row.shape[1] != width:
+            raise ValueError(
+                f"title embedding dim {row.shape[1]} != "
+                f"paper feature dim {width}"
+            )
+        template = self._title_template
+        features = dict(template.features)
+        # The template's paper row is zeros, including the appended
+        # label-input channels (no known label for an unseen paper).
+        features[PAPER] = template.features[PAPER].copy()
+        features[PAPER][:, :width] = row
+        batch = template.with_features(features)
         with inference_mode():
             raw = self.model.predict_papers(batch)
         return float(self._denormalize(raw)[0])
 
-    def _single_paper_batch(self, paper_row: np.ndarray) -> GraphBatch:
-        """A 1-paper, 0-edge batch with the snapshot's feature geometry."""
+    def _single_paper_template(self) -> GraphBatch:
+        """The 1-paper, 0-edge batch every title is scored in.
+
+        Built once at freeze with the snapshot's feature geometry, its
+        label-input view and its structure, so a title pays for one
+        paper's forward and nothing else.
+        """
         graph = self.restored.graph
         features: Dict[str, np.ndarray] = {}
         num_nodes: Dict[str, int] = {}
         for t in self.batch.node_types:
-            if t == PAPER:
-                width = graph.node_features[PAPER].shape[1]
-                if paper_row.shape[1] != width:
-                    raise ValueError(
-                        f"title embedding dim {paper_row.shape[1]} != "
-                        f"paper feature dim {width}"
-                    )
-                features[t] = paper_row.astype(np.float64)
-                num_nodes[t] = 1
-            else:
-                features[t] = np.zeros(
-                    (0, graph.node_features[t].shape[1])
-                )
-                num_nodes[t] = 0
+            num_nodes[t] = 1 if t == PAPER else 0
+            features[t] = np.zeros(
+                (num_nodes[t], graph.node_features[t].shape[1]))
         empty_i = np.array([], dtype=np.intp)
         empty_f = np.array([], dtype=np.float64)
         edges = {key: (empty_i, empty_i, empty_f, empty_f)
@@ -226,6 +235,7 @@ class InferenceEngine:
             # channels are appended as zeros (value 0, is-known 0).
             batch = batch.with_label_inputs(empty_i, empty_f,
                                             empty_i, empty_f)
+        batch.structure  # build the shared structure cell now
         return batch
 
     # ------------------------------------------------------------------

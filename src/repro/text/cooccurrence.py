@@ -8,14 +8,20 @@ backbone of two substitutions documented in DESIGN.md:
   exactly this matrix — Levy & Goldberg 2014);
 - :mod:`repro.text.mlm` reads its rows as the masked-slot distribution of a
   distributional language model (the BERT MLM stand-in).
+
+``scipy.sparse`` is imported inside the functions that build matrices:
+only fitting text artifacts needs it, and a serving process, which only
+looks rows up in a fitted embedding table, should never load it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def cooccurrence_counts(
@@ -28,6 +34,8 @@ def cooccurrence_counts(
     Paper titles are short, so the default window effectively counts all
     within-document pairs.
     """
+    from scipy import sparse
+
     rows: list[int] = []
     cols: list[int] = []
     for doc in documents:
@@ -48,6 +56,8 @@ def cooccurrence_counts(
 
 def ppmi(counts: sparse.csr_matrix, shift: float = 0.0) -> sparse.csr_matrix:
     """Positive PMI: max(0, log(p(i,j) / (p(i) p(j))) - shift)."""
+    from scipy import sparse
+
     counts = counts.tocoo()
     total = counts.data.sum()
     if total == 0:

@@ -8,11 +8,9 @@ word2vec implicitly performs (Levy & Goldberg 2014).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import svds
 
 from .cooccurrence import cooccurrence_counts, ppmi
 from .vocabulary import Vocabulary
@@ -57,6 +55,9 @@ class WordEmbeddings:
         seed: int = 0,
     ) -> "WordEmbeddings":
         """Fit SVD-of-PPMI embeddings on tokenized (id-encoded) documents."""
+        # Lazy: only fitting needs scipy; serving just looks rows up.
+        from scipy.sparse.linalg import svds
+
         vocab_size = len(vocabulary)
         counts = cooccurrence_counts(documents, vocab_size, window=window)
         matrix = ppmi(counts)

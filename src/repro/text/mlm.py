@@ -13,13 +13,15 @@ needs from BERT and nothing more.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from .cooccurrence import cooccurrence_counts, ppmi
 from .vocabulary import Vocabulary
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class DistributionalMLM:

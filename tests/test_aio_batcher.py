@@ -5,12 +5,15 @@ whatever interleaving of concurrent requests the collector happens to
 flush together, every response must be bitwise what a sequential
 unbatched call would have returned, and every submitted request must be
 resolved exactly once — also when the engine call fails mid-batch.
-These are pinned as hypothesis properties over random request mixes,
-plus deterministic checks that both flush watermarks actually bound the
-batch.
+These are pinned as hypothesis properties over random mixes of id
+requests and cold-start titles, plus deterministic checks of when a
+flush happens: at once by default (requests that arrive during a
+compute form the next flush), and at the size or the opt-in wait
+watermark.
 """
 
 import asyncio
+import threading
 import time
 
 import numpy as np
@@ -21,11 +24,15 @@ from hypothesis import strategies as st
 from repro.core import CATEHGN
 from repro.eval.runner import default_cate_config
 from repro.serve import (
+    AdmissionQueue,
     BatchSettings,
     DynamicBatcher,
     InferenceEngine,
     ServingRuntime,
 )
+
+#: Title words: a few the tiny corpus knows and one it never saw.
+TITLE_WORDS = ("data", "mining", "graph", "learning", "system", "zzzxqj")
 
 
 @pytest.fixture(scope="module")
@@ -64,11 +71,23 @@ def _run_batched(runtime, submissions, settings_=None):
     return asyncio.run(main())
 
 
-def _id_lists(num_papers):
-    return st.lists(
-        st.lists(st.integers(min_value=0, max_value=num_papers - 1),
-                 min_size=1, max_size=5),
-        min_size=1, max_size=12)
+def _titles():
+    return st.lists(st.sampled_from(TITLE_WORDS), min_size=1,
+                    max_size=4).map(" ".join)
+
+
+def _request_mixes(num_papers):
+    """Lists of id lists (``/predict``) and title strings (cold start)."""
+    ids = st.lists(st.integers(min_value=0, max_value=num_papers - 1),
+                   min_size=1, max_size=5)
+    return st.lists(st.one_of(ids, _titles()), min_size=1, max_size=12)
+
+
+def _submit(request):
+    """The batcher call for one drawn request."""
+    if isinstance(request, str):
+        return lambda b: b.submit_title(request)
+    return lambda b: b.submit_predict(request)
 
 
 @settings(max_examples=15, deadline=None)
@@ -76,21 +95,26 @@ def _id_lists(num_papers):
 def test_batched_predict_bitwise_equals_sequential(runtime_pair, data):
     """Any concurrent interleaving == the sequential unbatched responses."""
     batched_rt, reference_rt = runtime_pair
-    requests = data.draw(_id_lists(batched_rt.engine.num_papers))
+    requests = data.draw(_request_mixes(batched_rt.engine.num_papers))
 
     results, batcher = _run_batched(
-        batched_rt,
-        [lambda b, ids=ids: b.submit_predict(ids) for ids in requests])
+        batched_rt, [_submit(request) for request in requests])
 
-    for ids, got in zip(requests, results):
+    for request, got in zip(requests, results):
         assert not isinstance(got, BaseException), got
-        ref = reference_rt.predict(np.asarray(ids, dtype=np.intp))
-        expected = {
-            "paper_ids": [int(i) for i in ids],
-            "predictions": [float(p) for p in ref["predictions"]],
-            "source": ref["source"],
-            "degraded": ref["degraded"],
-        }
+        if isinstance(request, str):
+            expected = {
+                "prediction": reference_rt.engine.score_title(request),
+                "cold_start": True,
+            }
+        else:
+            ref = reference_rt.predict(np.asarray(request, dtype=np.intp))
+            expected = {
+                "paper_ids": [int(i) for i in request],
+                "predictions": [float(p) for p in ref["predictions"]],
+                "source": ref["source"],
+                "degraded": ref["degraded"],
+            }
         assert got == expected  # float-exact, not approx
     assert batcher.resolutions == len(requests)
 
@@ -113,20 +137,43 @@ def test_batched_rank_is_stable_prefix(runtime_pair, ks, node_type):
 
 
 class _ScriptedRuntime:
-    """Engine-free runtime: fails whenever a poisoned id is batched in."""
+    """Engine-free runtime: fails whenever a poisoned id is batched in.
+
+    Titles score as their length; a title naming ``BAD_TITLE`` raises
+    the engine's client error for that title alone.  While ``gate`` is
+    cleared, ``predict`` parks on the executor thread.
+    """
 
     NUM_PAPERS = 100
     POISON_AT = 50
+    BAD_TITLE = "bad"
 
     class _StubEngine:
         num_papers = 100
 
+        def score_title(self, title):
+            if _ScriptedRuntime.BAD_TITLE in title.split():
+                raise ValueError("scripted bad title")
+            return float(len(title))
+
     def __init__(self):
         self.engine = self._StubEngine()
         self.calls = 0
+        self.gate = threading.Event()
+        self.gate.set()
+        self.entered = threading.Event()
+
+    @classmethod
+    def poisoned(cls, request) -> bool:
+        """Whether ``request`` (ids or a title) can never get a result."""
+        if isinstance(request, str):
+            return cls.BAD_TITLE in request.split()
+        return max(request) >= cls.POISON_AT
 
     def predict(self, ids):
         self.calls += 1
+        self.entered.set()
+        self.gate.wait(timeout=30)
         ids = np.asarray(ids)
         if len(ids) and ids.max() >= self.POISON_AT:
             raise RuntimeError("scripted engine failure")
@@ -136,35 +183,121 @@ class _ScriptedRuntime:
 
 @settings(max_examples=25, deadline=None)
 @given(requests=st.lists(
-    st.lists(st.integers(min_value=0, max_value=99),
-             min_size=1, max_size=4),
+    st.one_of(st.lists(st.integers(min_value=0, max_value=99),
+                       min_size=1, max_size=4),
+              st.sampled_from(["graph mining", "bad", "a bad title"])),
     min_size=1, max_size=16))
 def test_every_request_resolved_exactly_once(requests):
     """No drop, no double-resolve — also when the forward raises.
 
     A poisoned id fails the whole shared forward, so every request in
     that flush gets the exception; requests in clean flushes still get
-    results.  Either way the resolution count must equal the submission
-    count for any interleaving.
+    results.  A bad title fails only itself.  Either way the resolution
+    count must equal the submission count for any interleaving.
     """
     runtime = _ScriptedRuntime()
     results, batcher = _run_batched(
-        runtime,
-        [lambda b, ids=ids: b.submit_predict(ids) for ids in requests])
+        runtime, [_submit(request) for request in requests])
 
     assert len(results) == len(requests)
     assert batcher.resolutions == len(requests)
-    for ids, got in zip(requests, results):
+    for request, got in zip(requests, results):
+        if isinstance(request, str):
+            bad = _ScriptedRuntime.poisoned(request)
+            allowed = (ValueError, RuntimeError) if bad else (
+                dict, RuntimeError)
+            assert isinstance(got, allowed), (request, got)
+            if isinstance(got, dict):
+                assert got == {"prediction": float(len(request)),
+                               "cold_start": True}
+            continue
         assert isinstance(got, (dict, RuntimeError)), got
         if isinstance(got, dict):
             # A clean response is always the right slice of the batch.
-            assert got["predictions"] == [float(i) * 2.0 for i in ids]
+            assert got["predictions"] == [float(i) * 2.0 for i in request]
     clean = [r for r in results if isinstance(r, dict)]
-    poisoned = [ids for ids in requests if max(ids) >= 50]
+    poisoned = [r for r in requests if _ScriptedRuntime.poisoned(r)]
     # Every all-clean-flush guarantee we can make without fixing the
     # interleaving: at least the poisoned requests cannot have resolved
     # to results.
     assert len(clean) <= len(requests) - len(poisoned)
+
+
+def test_bad_title_fails_only_itself():
+    """A title's client error does not touch the rest of its flush."""
+    runtime = _ScriptedRuntime()
+    results, batcher = _run_batched(
+        runtime,
+        [lambda b: b.submit_title("bad"),
+         lambda b: b.submit_title("graph mining"),
+         lambda b: b.submit_predict([3])],
+        settings_=BatchSettings(max_wait_ms=5_000.0, max_batch_size=3))
+
+    assert batcher.metrics.size_histogram == {3: 1}  # one shared flush
+    assert isinstance(results[0], ValueError)
+    assert results[1] == {"prediction": 12.0, "cold_start": True}
+    assert results[2]["predictions"] == [6.0]
+
+
+def test_default_collector_never_waits(monkeypatch):
+    """Under ``BatchSettings()`` a flush takes what is queued, no timer."""
+    waits = []
+
+    async def no_waiting(self, timeout):
+        waits.append(timeout)
+        raise AssertionError("the collector waited for company")
+
+    monkeypatch.setattr(AdmissionQueue, "get_within", no_waiting)
+
+    async def main():
+        batcher = DynamicBatcher(_ScriptedRuntime(), BatchSettings())
+        batcher.start()
+        try:
+            return await asyncio.wait_for(asyncio.gather(
+                *(batcher.submit_predict([i]) for i in range(8)),
+                batcher.submit_title("graph mining")), timeout=10)
+        finally:
+            await batcher.stop()
+
+    results = asyncio.run(main())
+    assert waits == []
+    assert [r["predictions"] for r in results[:8]] == [
+        [float(i) * 2.0] for i in range(8)]
+    assert results[8]["cold_start"] is True
+
+
+async def _until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
+
+
+def test_requests_arriving_during_a_compute_form_the_next_flush():
+    """A parked flush of A; B and C queue behind it and flush together."""
+    runtime = _ScriptedRuntime()
+    runtime.gate.clear()
+
+    async def main():
+        batcher = DynamicBatcher(runtime, BatchSettings())
+        batcher.start()
+        try:
+            first = asyncio.ensure_future(batcher.submit_predict([1]))
+            await _until(runtime.entered.is_set)
+            rest = [asyncio.ensure_future(batcher.submit_predict([2])),
+                    asyncio.ensure_future(batcher.submit_title("graph"))]
+            await _until(lambda: batcher.queue.depth == 2)
+            runtime.gate.set()
+            results = await asyncio.gather(first, *rest)
+        finally:
+            await batcher.stop()
+        return results, batcher
+
+    results, batcher = asyncio.run(main())
+    assert results[0]["predictions"] == [2.0]
+    assert results[1]["predictions"] == [4.0]
+    assert results[2] == {"prediction": 5.0, "cold_start": True}
+    assert batcher.metrics.size_histogram == {1: 1, 2: 1}
 
 
 def test_size_watermark_bounds_the_flush():

@@ -2,9 +2,11 @@
 
 Each check imports one entry point in a fresh interpreter and lists
 ``sys.modules``.  The router process must stay free of the serving and
-model stack (``repro.serve``'s package import alone pulls in the model
-and scipy), and the serving package must not load the stdlib threaded
-HTTP server.  A serving process must also keep glibc's heap defaults:
+model stack (``repro.serve``'s package import alone pulls in the model),
+and the serving package must not load the stdlib threaded HTTP server.
+A serving process (``repro.serve``'s CLI or a fleet replica) that
+restores, predicts and scores a title loads no scipy: only fitting and
+significance testing need it.  It must also keep glibc's heap defaults:
 only a process that runs ``backward()`` applies the training heap
 settings, once.
 """
@@ -55,14 +57,20 @@ def test_serving_process_keeps_default_heap_settings(tiny_dataset, tmp_path):
 
     config = default_cate_config(dim=8, seed=0, outer_iters=1, mini_iters=1)
     path = CATEHGN(config).fit(tiny_dataset).save_checkpoint(tmp_path / "m")
-    applied = _run(
+    applied, scipy_modules = _run(
+        "import json, sys\n"
+        "import repro.fleet.replica, repro.serve.__main__\n"
         "from repro.serve import InferenceEngine\n"
         "from repro.tensor import GradMode\n"
         f"engine = InferenceEngine.from_checkpoint({str(path)!r})\n"
         "engine.predict([0, 1, 2])\n"
         "engine.score_title('heterogeneous graph citation')\n"
-        "print(GradMode.heap_settings_applied)\n")
-    assert applied.split() == ["0"]
+        "print(GradMode.heap_settings_applied)\n"
+        "print(json.dumps([m for m in sys.modules\n"
+        "                  if m == 'scipy' or m.startswith('scipy.')]))\n"
+    ).splitlines()
+    assert applied == "0"
+    assert json.loads(scipy_modules) == []
 
 
 def test_first_backward_applies_heap_settings_once():

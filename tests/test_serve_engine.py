@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import CATEHGN
 from repro.eval.runner import default_cate_config
+from repro.hetnet.structure import BatchStructure
 from repro.serve import InferenceEngine, LRUCache, restore_catehgn
 from repro.tensor import reset_tape_node_counter, tape_nodes_created
 
@@ -114,7 +115,50 @@ class TestRanking:
 
 
 # ----------------------------------------------------------------------
+#: ``score_title`` answers as ``float.hex``, recorded on the module's
+#: seeded checkpoint before titles were scored in a template batch built
+#: at freeze (and before the forward skipped node types with no nodes).
+#: The cold-start path must keep every one of them bitwise.
+TITLE_GOLDENS = {
+    "heterogeneous graph neural networks for citation prediction":
+        "0x1.533601de6225ap+2",
+    "stream processing over data systems": "0x1.522af57972c5ep+2",
+    "data mining": "0x1.4f690a28d0985p+2",
+    "zzzxqj wvvkpt": "0x1.5666374d0dc69p+2",
+}
+#: The same titles on a checkpoint without CA and without label inputs.
+PLAIN_TITLE_GOLDENS = {
+    "heterogeneous graph neural networks for citation prediction":
+        "0x1.531ce81fa6623p+2",
+    "stream processing over data systems": "0x1.52a853482697bp+2",
+    "data mining": "0x1.4ee569107bbacp+2",
+    "zzzxqj wvvkpt": "0x1.5931e9d8c598ep+2",
+}
+
+
+@pytest.fixture(scope="module")
+def plain_engine(tiny_dataset, tmp_path_factory):
+    config = default_cate_config(dim=16, seed=0, outer_iters=2, mini_iters=2,
+                                 use_ca=False, use_label_inputs=False)
+    fitted = CATEHGN(config).fit(tiny_dataset)
+    path = fitted.save_checkpoint(tmp_path_factory.mktemp("plain") / "model")
+    return InferenceEngine.from_checkpoint(path, cache_size=0)
+
+
 class TestColdStart:
+    def test_title_goldens_bitwise(self, engine, plain_engine):
+        for eng, goldens in ((engine, TITLE_GOLDENS),
+                             (plain_engine, PLAIN_TITLE_GOLDENS)):
+            got = {title: eng.score_title(title).hex() for title in goldens}
+            assert got == goldens
+
+    def test_titles_build_no_structure(self, engine):
+        engine.score_title("warm up")
+        before = BatchStructure.builds
+        engine.score_title("data mining")
+        engine.score_title("stream processing")
+        assert BatchStructure.builds == before
+
     def test_unseen_title_scores(self, engine):
         score = engine.score_title("heterogeneous graph neural networks "
                                    "for citation prediction")

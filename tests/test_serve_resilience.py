@@ -67,6 +67,8 @@ class StubEngine:
                 for i in range(min(int(k), self.num_papers))]
 
     def score_title(self, title) -> float:
+        if title == "bad":
+            raise ValueError("scripted bad title")
         return 1.0
 
 
@@ -97,6 +99,15 @@ def server_factory():
 
 def _get(url, timeout=10):
     with urllib.request.urlopen(url, timeout=timeout) as response:
+        return response.status, dict(response.headers), \
+            json.loads(response.read())
+
+
+def _post(url, body, timeout=10):
+    request = urllib.request.Request(
+        url, data=json.dumps(body).encode(),
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=timeout) as response:
         return response.status, dict(response.headers), \
             json.loads(response.read())
 
@@ -156,18 +167,35 @@ class TestOverload:
         assert err.value.code == 503
         assert err.value.headers["Retry-After"] == "7"
 
+        # A cold-start title goes through the same admission bound.
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base + "/predict", {"title": "graph mining"}, timeout=5)
+        assert err.value.code == 503
+        assert err.value.headers["Retry-After"] == "7"
+
         engine.gate.set()  # release the parked flush
         for worker in (first, second):
             worker.join(timeout=10)
         assert results.count(("ok", 200)) == 2
 
         body = _metrics(base)
-        assert body["total_shed"] == 1
-        assert body["endpoints"]["/predict"]["shed"] == 1
+        assert body["total_shed"] == 2
+        assert body["endpoints"]["/predict"]["shed"] == 2
         assert queue.depth == 0  # every admitted request was served
 
         # Back to healthy once drained.
         assert _get(base + "/healthz")[2]["status"] == "ok"
+
+    def test_title_client_error_is_a_400(self, server_factory):
+        server, _engine, base = server_factory(ServiceLimits())
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base + "/predict", {"title": "bad"})
+        assert err.value.code == 400
+        assert json.loads(err.value.read()) == {
+            "error": "scripted bad title"}
+        assert _post(base + "/predict", {"title": "good"})[2] == {
+            "prediction": 1.0, "cold_start": True}
+        assert server.app.batcher.queue.depth == 0
 
     def test_limiter_releases_on_handler_error(self, server_factory):
         server, _engine, base = server_factory(ServiceLimits(),
